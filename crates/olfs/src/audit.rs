@@ -18,11 +18,12 @@
 //! Detected rot is repaired through the redundancy ladder:
 //!
 //! 1. **Array redundancy** — every member of the rotted image's disc
-//!    array is gathered and digest-verified *whole*; mismatching
-//!    members are masked as lost and reconstructed through the GF(256)
-//!    P/Q parity kernels ([`crate::redundancy::reconstruct_verified`]).
-//!    The healed array is then rewritten onto fresh media, retiring the
-//!    rotted tray — same flow as §4.7's scrub-triggered rewrite.
+//!    array is gathered from its tray and digest-verified *whole*;
+//!    mismatching members are erased and reconstructed through the
+//!    GF(256) P/Q parity kernels ([`crate::redundancy::repair`], the
+//!    same path the fetch repairs use). The healed array is then
+//!    rewritten onto fresh media, retiring the rotted tray — the same
+//!    rewrite as §4.7's scrub-triggered one.
 //! 2. **Replica escalation** — if more members rotted than the parity
 //!    schema tolerates, the image is reported
 //!    [`AuditReport::unrepairable`] and a cluster front end re-fetches
@@ -33,11 +34,11 @@
 //! clock, so audit bandwidth competes with foreground traffic exactly
 //! like the scrub does.
 
-use crate::dim::{DaState, GroupState};
+use crate::dim::GroupState;
 use crate::engine::Ros;
 use crate::error::OlfsError;
 use crate::ids::{ArrayId, ImageId};
-use crate::redundancy;
+use crate::repair::Source;
 use ros_drive::media::Payload;
 use ros_sim::SimDuration;
 use std::collections::BTreeMap;
@@ -173,7 +174,7 @@ impl Ros {
                 report.unrepairable.extend(images);
                 continue;
             };
-            match self.repair_rotted_array(gid, &images) {
+            match self.repair_rotted_array(gid) {
                 Ok(time) => {
                     report.elapsed += time;
                     report.repaired.extend(images);
@@ -190,153 +191,38 @@ impl Ros {
         report
     }
 
-    /// Heals one rotted disc array: gathers every member, masks the
-    /// digest-mismatching ones as lost, reconstructs them through P/Q
-    /// parity, restores the healed data members to the buffer and
-    /// rewrites the whole array onto fresh media (retiring the rotted
-    /// tray as Failed). Errors if the rot exceeds the schema's
+    /// Heals one rotted disc array: gathers every member from its tray,
+    /// erases the digest-mismatching ones, reconstructs them, restores
+    /// every data member that lacks a healthy buffer copy (pinned until
+    /// the re-burn) and rewrites the array onto fresh media, retiring
+    /// the rotted tray. Errors if the rot exceeds the schema's
     /// tolerance — the caller escalates to a replica.
-    fn repair_rotted_array(
-        &mut self,
-        gid: ArrayId,
-        rotted: &[ImageId],
-    ) -> Result<SimDuration, OlfsError> {
+    fn repair_rotted_array(&mut self, gid: ArrayId) -> Result<SimDuration, OlfsError> {
         let group = self
             .store
             .group(gid)
             .ok_or_else(|| OlfsError::BadState(format!("no group {gid}")))?
             .clone();
-        let members: Vec<ImageId> = group
-            .data
-            .iter()
-            .chain(group.parity.iter())
-            .copied()
-            .collect();
-        let unrecoverable = |image: ImageId| OlfsError::Unrecoverable {
-            image,
-            array: Some(gid),
-        };
-        let first_rotted = rotted.first().copied().unwrap_or(ImageId(0));
-        let plane = self.data_plane();
-
-        // Gather digest-verified bytes per member; anything that fails
-        // verification is masked as lost.
-        let mut raw: Vec<Option<Vec<u8>>> = vec![None; members.len()];
-        let mut scanned = 0u64;
-        for (i, member) in members.iter().enumerate() {
-            let Some(info) = self.store.get(*member) else {
-                continue;
-            };
-            let digest = info.digest;
-            if let Some(p) = info.payload.clone() {
-                if ros_cas::verify_payload(&digest, &p, &plane).is_ok() {
-                    raw[i] = Some(p.to_vec());
-                    continue;
-                }
-            }
-            let Some(loc) = info.burned else { continue };
-            if let Some(Ok((Payload::Inline(bytes), bad))) = self
-                .registry
-                .disc(loc.disc)
-                .map(|d| d.read_image_raw(member.0))
-            {
-                scanned += bytes.len() as u64;
-                if bad.is_empty() && ros_cas::verify_payload(&digest, bytes, &plane).is_ok() {
-                    raw[i] = Some(bytes.to_vec());
-                }
-            }
-        }
-        let mut time = self.bays[0]
+        let gathered = self.gather_array(&group.members(), Source::Trays, true);
+        let scan = self.bays[0]
             .aggregate_read_speed(self.cfg.disc_class)
-            .time_for(scanned);
-
-        let n_data = group.data.len();
-        let sizes: Vec<usize> = group
+            .time_for(gathered.bytes_read());
+        let stale: Vec<ImageId> = group
             .data
             .iter()
-            .map(|id| {
-                self.store
-                    .get(*id)
-                    .map(|i| i.size as usize)
-                    .unwrap_or_default()
-            })
+            .zip(&gathered.buffered)
+            .filter(|(_, &buffered)| !buffered)
+            .map(|(id, _)| *id)
             .collect();
-        let expected: Vec<ros_cas::Digest> = group
-            .data
-            .iter()
-            .filter_map(|id| self.store.get(*id).map(|i| i.digest))
-            .collect();
-        if expected.len() != n_data {
-            return Err(unrecoverable(first_rotted));
-        }
-        let data_masked: Vec<Option<&[u8]>> = raw[..n_data].iter().map(|e| e.as_deref()).collect();
-        let p_slice = raw.get(n_data).and_then(|e| e.as_deref());
-        let q_slice = raw.get(n_data + 1).and_then(|e| e.as_deref());
-        let recovered = redundancy::reconstruct_verified(
-            self.cfg.redundancy,
-            &data_masked,
-            &sizes,
-            p_slice,
-            q_slice,
-            &expected,
-            &plane,
-        )
-        .map_err(|_| unrecoverable(first_rotted))?;
-
-        // Every data member needs a healthy buffer copy before the
-        // rewrite; replace rotted residents and fill evicted slots from
-        // the verified reconstruction.
-        for (i, member) in group.data.iter().enumerate() {
-            let (on_disk, healthy) = self
-                .store
-                .get(*member)
-                .map(|info| {
-                    let ok = info
-                        .payload
-                        .as_ref()
-                        .map(|p| ros_cas::verify_payload(&info.digest, p, &plane).is_ok())
-                        .unwrap_or(false);
-                    (info.on_disk(), ok)
-                })
-                .unwrap_or((false, false));
-            if on_disk && !healthy {
-                let freed = self
-                    .store
-                    .evict_disk_copy(*member)
-                    .map_err(|_| unrecoverable(*member))?;
-                let _ = self.vm.release(self.vol_buffer, freed);
-            }
-            if !(on_disk && healthy) {
-                let bytes = recovered
-                    .get(i)
-                    .cloned()
-                    .ok_or_else(|| unrecoverable(*member))?;
-                time += self.vm.write_time(self.vol_buffer, bytes.len() as u64)?;
-                self.vm.allocate(self.vol_buffer, bytes.len() as u64)?;
-                self.store
-                    .restore_disk_copy(*member, bytes, &plane)
-                    .map_err(|_| unrecoverable(*member))?;
-            }
-            // Pin until the rewrite's burn completes.
+        let time = scan + self.heal_members(&group, &gathered, &stale)?;
+        // Pin every data member until the rewrite's burn completes.
+        for member in &group.data {
             self.cache.insert(*member);
             self.cache.pin(*member);
         }
         self.run_for(time);
-
-        // Retire the rotted tray and re-burn onto fresh media — same
-        // flow as the scrub's damaged-array rewrite (§4.7).
         if group.state == GroupState::Burned {
-            for bay in 0..self.bays.len() {
-                if self.mech.bay_contents(bay).is_ok_and(|c| c == group.slot) {
-                    self.unload_bay(bay)?;
-                }
-            }
-            let old_slot = self.store.reset_group_for_rewrite(gid)?;
-            if let Some(slot) = old_slot {
-                let idx = self.cfg.layout.slot_index(slot);
-                self.store.set_da_state(idx, DaState::Failed);
-            }
-            self.schedule_parity(gid);
+            self.rewrite_array(&group)?;
         }
         Ok(time)
     }

@@ -185,19 +185,16 @@ impl ReadCache {
             // inserted (it reached the cold end only if everything
             // colder is pinned, and evicting the incoming image would
             // defeat the insert).
-            let mut n = self.head;
-            while n != NIL && self.pins.contains_key(&self.nodes[n].id) {
-                n = self.nodes[n].next;
-            }
-            if n == NIL || self.nodes[n].id == id {
+            let Some(victim) = self.evictable().next().filter(|&v| v != id) else {
                 // Everything (else) is pinned: tolerate overflow rather
                 // than evict a sole copy.
                 break;
-            }
-            let victim = self.nodes[n].id;
+            };
+            let Some(n) = self.index.remove(&victim) else {
+                break;
+            };
             self.unlink(n);
             self.free.push(n);
-            self.index.remove(&victim);
             self.stats.evictions += 1;
             evicted.push(victim);
         }
@@ -231,6 +228,13 @@ impl ReadCache {
                 self.pins.remove(&id);
             }
         }
+    }
+
+    /// Returns the unpinned images in LRU order (coldest first): the
+    /// eviction candidates. This is the one place the rule "a pinned
+    /// image is never evicted" lives; every eviction walks it.
+    pub fn evictable(&self) -> impl Iterator<Item = ImageId> + '_ {
+        self.lru_order().filter(|id| !self.pins.contains_key(id))
     }
 
     /// Returns the images in LRU order (coldest first).
@@ -351,6 +355,21 @@ mod tests {
         c.insert(ImageId(2));
         let evicted = c.insert(ImageId(3));
         assert_eq!(evicted, ids(&[1]), "re-inserted image must be evictable");
+    }
+
+    #[test]
+    fn evictable_skips_pins_in_lru_order() {
+        let mut c = ReadCache::new(4);
+        for i in [3u64, 1, 4, 2] {
+            c.insert(ImageId(i));
+        }
+        c.pin(ImageId(1));
+        c.pin(ImageId(2));
+        let order: Vec<ImageId> = c.evictable().collect();
+        assert_eq!(order, ids(&[3, 4]));
+        c.unpin(ImageId(1));
+        let order: Vec<ImageId> = c.evictable().collect();
+        assert_eq!(order, ids(&[3, 1, 4]));
     }
 
     #[test]

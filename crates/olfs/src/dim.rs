@@ -83,6 +83,13 @@ pub struct ArrayGroup {
     pub slot: Option<SlotAddress>,
 }
 
+impl ArrayGroup {
+    /// Every member image in tray order: the data images, then parity.
+    pub fn members(&self) -> Vec<ImageId> {
+        self.data.iter().chain(&self.parity).copied().collect()
+    }
+}
+
 /// One image's bookkeeping record.
 #[derive(Clone, Debug)]
 pub struct ImageInfo {
@@ -370,12 +377,25 @@ impl ImageStore {
         payload: Bytes,
         plane: &DataPlane,
     ) -> Result<(), OlfsError> {
-        let info = self.images.get_mut(&id).ok_or(OlfsError::ImageLost(id))?;
+        let info = self.images.get(&id).ok_or(OlfsError::ImageLost(id))?;
         if let Err(e) = verify_payload(&info.digest, &payload, plane) {
             return Err(OlfsError::BadState(format!(
                 "image {id} payload digest mismatch after fetch: {e}"
             )));
         }
+        self.restore_verified_copy(id, payload)
+    }
+
+    /// [`ImageStore::restore_disk_copy`] for bytes the caller already
+    /// verified against the image's digest (a
+    /// [`crate::redundancy::repair`] result): the digest is not
+    /// recomputed.
+    pub(crate) fn restore_verified_copy(
+        &mut self,
+        id: ImageId,
+        payload: Bytes,
+    ) -> Result<(), OlfsError> {
+        let info = self.images.get_mut(&id).ok_or(OlfsError::ImageLost(id))?;
         if info.kind == ImageKind::Data {
             info.sealed = Some(Arc::new(
                 SealedImage::from_bytes(payload.clone())

@@ -1242,12 +1242,7 @@ impl Ros {
             .group(gid)
             .ok_or_else(|| OlfsError::BadState(format!("no group {gid}")))?
             .clone();
-        let all_images: Vec<ImageId> = group
-            .data
-            .iter()
-            .chain(group.parity.iter())
-            .copied()
-            .collect();
+        let all_images = group.members();
         let mut sizes = vec![0u64; self.cfg.drives_per_bay];
         for (i, img) in all_images.iter().enumerate() {
             if i < sizes.len() {
@@ -1320,12 +1315,7 @@ impl Ros {
             .tray(slot_index)
             .map(<[DiscId]>::to_vec)
             .unwrap_or_default();
-        let all_images: Vec<ImageId> = group
-            .data
-            .iter()
-            .chain(group.parity.iter())
-            .copied()
-            .collect();
+        let all_images = group.members();
         // First pass: complete every member's burn, collecting failures
         // instead of silently marking a partial array as done.
         let mut spoiled = false;
@@ -1458,7 +1448,10 @@ impl Ros {
         serviced
     }
 
-    /// Evicts cache overflow: drops disk copies of burned images.
+    /// Evicts cache overflow: drops disk copies of burned images, coldest
+    /// first. Pinned images are never candidates: a repair pins restored
+    /// members that still carry their old disc location until the
+    /// rewrite re-burns them.
     fn apply_cache_pressure(&mut self) {
         let over = self.cache.len().saturating_sub(self.cache.capacity());
         if over == 0 {
@@ -1466,7 +1459,7 @@ impl Ros {
         }
         let victims: Vec<ImageId> = self
             .cache
-            .lru_order()
+            .evictable()
             .filter(|id| {
                 self.store
                     .get(*id)
@@ -1475,12 +1468,21 @@ impl Ros {
             })
             .take(over)
             .collect();
-        for v in victims {
-            if let Ok(freed) = self.store.evict_disk_copy(v) {
+        self.drop_disk_copies(victims);
+    }
+
+    /// Drops the disk-tier copies of burned images, freeing their
+    /// buffer space and cache slots. Returns how many were dropped.
+    pub(crate) fn drop_disk_copies(&mut self, ids: Vec<ImageId>) -> usize {
+        let mut n = 0;
+        for id in ids {
+            if let Ok(freed) = self.store.evict_disk_copy(id) {
                 let _ = self.vm.release(self.vol_buffer, freed);
-                self.cache.remove(v);
+                self.cache.remove(id);
+                n += 1;
             }
         }
+        n
     }
 
     // ------------------------------------------------------------------
@@ -1955,7 +1957,7 @@ impl Ros {
                     .map(|i| i.digest)
                     .ok_or(OlfsError::ImageLost(image))?;
                 if ros_cas::verify_payload(&digest, &payload, &plane).is_err() {
-                    let repair = self.repair_latent_image(image, bay)?;
+                    let repair = self.repair_image(image, bay, true)?;
                     *extra += repair;
                     self.counters.latent_repairs += 1;
                     return Ok(());
@@ -1967,7 +1969,7 @@ impl Ros {
             Err(ros_drive::DriveError::Media(ros_drive::media::MediaError::SectorErrors {
                 ..
             })) => {
-                let repair = self.repair_image(image, bay)?;
+                let repair = self.repair_image(image, bay, false)?;
                 *extra += repair;
                 self.counters.repairs += 1;
                 Ok(())
@@ -2070,12 +2072,7 @@ impl Ros {
             .group(gid)
             .ok_or(OlfsError::BadState(format!("no group {gid}")))?
             .clone();
-        let imgs: Vec<ImageId> = group
-            .data
-            .iter()
-            .chain(group.parity.iter())
-            .copied()
-            .collect();
+        let imgs = group.members();
         for i in 0..self.cfg.drives_per_bay {
             if info.sizes.get(i).copied().unwrap_or(0) > 0 {
                 let img = imgs.get(i).copied().unwrap_or(ImageId(0));
@@ -2188,282 +2185,6 @@ impl Ros {
         }
     }
 
-    /// Repairs a damaged image by RAID reconstruction from its array
-    /// siblings (§4.7): "data on the failed sectors can be recovered from
-    /// their parity discs and the corresponding data discs in the same
-    /// disc array under the given tolerance degree."
-    ///
-    /// Reconstruction is *sector-granular*: every 2 KB stripe tolerates
-    /// up to `parity_discs` damaged members, so multiple discs of the
-    /// array may be damaged as long as no stripe exceeds the tolerance.
-    fn repair_image(&mut self, image: ImageId, bay: usize) -> Result<SimDuration, OlfsError> {
-        const SECTOR: usize = 2_048;
-        let info = self.store.get(image).ok_or(OlfsError::ImageLost(image))?;
-        let gid = info
-            .array
-            .ok_or(OlfsError::Unrecoverable { image, array: None })?;
-        let group = self
-            .store
-            .group(gid)
-            .ok_or(OlfsError::Unrecoverable {
-                image,
-                array: Some(gid),
-            })?
-            .clone();
-        let members: Vec<ImageId> = group
-            .data
-            .iter()
-            .chain(group.parity.iter())
-            .copied()
-            .collect();
-        let unrecoverable = || OlfsError::Unrecoverable {
-            image,
-            array: Some(gid),
-        };
-
-        // Gather every member's raw bytes and damage map, reading the
-        // loaded discs in parallel (charge the slowest drive).
-        let mut raw: Vec<Option<(Vec<u8>, Vec<u64>)>> = vec![None; members.len()];
-        let mut slowest = SimDuration::ZERO;
-        for (i, member) in members.iter().enumerate() {
-            // Prefer intact buffer copies.
-            if let Some(p) = self.store.get(*member).and_then(|m| m.payload.clone()) {
-                raw[i] = Some((p.to_vec(), Vec::new()));
-                continue;
-            }
-            let Some(drive) = self.bays[bay].drive_mut(i) else {
-                continue;
-            };
-            let speed = drive
-                .read_speed()
-                .unwrap_or_else(|_| ros_drive::params::read_speed_bd25());
-            let Some(disc) = drive.disc() else { continue };
-            if let Ok((Payload::Inline(bytes), bad)) = disc.read_image_raw(member.0) {
-                slowest = slowest.max(speed.time_for(bytes.len() as u64));
-                raw[i] = Some((bytes.to_vec(), bad));
-            }
-        }
-        let mut time = slowest;
-
-        // Pad to a common stripe length.
-        let stripe_len = raw
-            .iter()
-            .flatten()
-            .map(|(b, _)| b.len())
-            .max()
-            .ok_or_else(unrecoverable)?;
-        let sectors = stripe_len.div_ceil(SECTOR);
-        for entry in raw.iter_mut().flatten() {
-            entry.0.resize(sectors * SECTOR, 0);
-        }
-        // Per-member damaged-sector membership.
-        let bad_sets: Vec<std::collections::HashSet<u64>> = raw
-            .iter()
-            .map(|e| match e {
-                Some((_, bad)) => bad.iter().copied().collect(),
-                // A completely missing member is damaged everywhere.
-                None => (0..sectors as u64).collect(),
-            })
-            .collect();
-        let n_data = group.data.len();
-
-        // Reconstruct damaged stripes one sector at a time.
-        let mut fixed: Vec<Vec<u8>> = raw
-            .iter()
-            .map(|e| {
-                e.as_ref()
-                    .map(|(b, _)| b.clone())
-                    .unwrap_or_else(|| vec![0u8; sectors * SECTOR])
-            })
-            .collect();
-        for k in 0..sectors as u64 {
-            let damaged: Vec<usize> = (0..members.len())
-                .filter(|&i| bad_sets[i].contains(&k))
-                .collect();
-            if damaged.is_empty() {
-                continue;
-            }
-            let lo = k as usize * SECTOR;
-            let hi = lo + SECTOR;
-            let data_masked: Vec<Option<&[u8]>> = (0..n_data)
-                .map(|i| (!bad_sets[i].contains(&k)).then(|| &fixed[i][lo..hi]))
-                .collect();
-            let p_slice = group
-                .parity
-                .first()
-                .map(|_| &fixed[n_data][lo..hi])
-                .filter(|_| !bad_sets.get(n_data).map(|s| s.contains(&k)).unwrap_or(true));
-            let q_slice = group
-                .parity
-                .get(1)
-                .map(|_| &fixed[n_data + 1][lo..hi])
-                .filter(|_| {
-                    !bad_sets
-                        .get(n_data + 1)
-                        .map(|s| s.contains(&k))
-                        .unwrap_or(true)
-                });
-            let sizes = vec![SECTOR; n_data];
-            let recovered = redundancy::reconstruct_with(
-                self.cfg.redundancy,
-                &data_masked,
-                &sizes,
-                p_slice,
-                q_slice,
-                &self.data_plane(),
-            )
-            .map_err(|_| unrecoverable())?;
-            for &i in &damaged {
-                if i < n_data {
-                    fixed[i][lo..hi].copy_from_slice(&recovered[i]);
-                }
-            }
-        }
-
-        // Restore the requested image's bytes (trimmed to true size).
-        let idx = members
-            .iter()
-            .position(|id| *id == image)
-            .ok_or_else(unrecoverable)?;
-        let true_size = self
-            .store
-            .get(image)
-            .map(|i| i.size as usize)
-            .ok_or_else(unrecoverable)?;
-        let mut bytes = std::mem::take(&mut fixed[idx]);
-        bytes.truncate(true_size);
-        let bytes = Bytes::from(bytes);
-        time += self.vm.write_time(self.vol_buffer, bytes.len() as u64)?;
-        self.vm.allocate(self.vol_buffer, bytes.len() as u64)?;
-        // restore_disk_copy verifies the content digest: a failed
-        // verification means the damage exceeded the schema's tolerance.
-        let plane = self.data_plane();
-        self.store
-            .restore_disk_copy(image, bytes, &plane)
-            .map_err(|_| unrecoverable())?;
-        Ok(time)
-    }
-
-    /// Repairs an image whose bytes read back *cleanly* but failed the
-    /// CAS digest check — latent rot. Unlike [`Ros::repair_image`]
-    /// (sector-granular, driven by the drive's damage map), rot leaves
-    /// no damage map: every member of the array is digest-verified
-    /// whole, mismatching members are masked as lost, and the survivors
-    /// reconstruct them through PQ parity
-    /// ([`redundancy::reconstruct_verified`]). Only the requested
-    /// image's buffer copy is restored here; rewriting the rotted array
-    /// onto fresh media is the background audit's job (§16) — a fetch
-    /// holding a reserved bay must not start a group rewrite.
-    pub(crate) fn repair_latent_image(
-        &mut self,
-        image: ImageId,
-        bay: usize,
-    ) -> Result<SimDuration, OlfsError> {
-        let info = self.store.get(image).ok_or(OlfsError::ImageLost(image))?;
-        let gid = info
-            .array
-            .ok_or(OlfsError::Unrecoverable { image, array: None })?;
-        let group = self
-            .store
-            .group(gid)
-            .ok_or(OlfsError::Unrecoverable {
-                image,
-                array: Some(gid),
-            })?
-            .clone();
-        let unrecoverable = || OlfsError::Unrecoverable {
-            image,
-            array: Some(gid),
-        };
-        let members: Vec<ImageId> = group
-            .data
-            .iter()
-            .chain(group.parity.iter())
-            .copied()
-            .collect();
-        let plane = self.data_plane();
-
-        // Gather and digest-verify every member whole; a member whose
-        // bytes mismatch its recorded digest is treated as lost.
-        let mut raw: Vec<Option<Vec<u8>>> = vec![None; members.len()];
-        let mut slowest = SimDuration::ZERO;
-        for (i, member) in members.iter().enumerate() {
-            let Some(minfo) = self.store.get(*member) else {
-                continue;
-            };
-            let digest = minfo.digest;
-            // Prefer verified buffer copies.
-            if let Some(p) = minfo.payload.clone() {
-                if ros_cas::verify_payload(&digest, &p, &plane).is_ok() {
-                    raw[i] = Some(p.to_vec());
-                    continue;
-                }
-            }
-            // The whole array is loaded in the bay: member i in drive i.
-            let Some(drive) = self.bays[bay].drive_mut(i) else {
-                continue;
-            };
-            let speed = drive
-                .read_speed()
-                .unwrap_or_else(|_| ros_drive::params::read_speed_bd25());
-            let Some(disc) = drive.disc() else { continue };
-            if let Ok((Payload::Inline(bytes), bad)) = disc.read_image_raw(member.0) {
-                if bad.is_empty() && ros_cas::verify_payload(&digest, bytes, &plane).is_ok() {
-                    slowest = slowest.max(speed.time_for(bytes.len() as u64));
-                    raw[i] = Some(bytes.to_vec());
-                }
-            }
-        }
-        let mut time = slowest;
-
-        let n_data = group.data.len();
-        let sizes: Vec<usize> = group
-            .data
-            .iter()
-            .map(|id| {
-                self.store
-                    .get(*id)
-                    .map(|i| i.size as usize)
-                    .unwrap_or_default()
-            })
-            .collect();
-        let expected: Vec<ros_cas::Digest> = group
-            .data
-            .iter()
-            .filter_map(|id| self.store.get(*id).map(|i| i.digest))
-            .collect();
-        if expected.len() != n_data {
-            return Err(unrecoverable());
-        }
-        let data_masked: Vec<Option<&[u8]>> = raw[..n_data].iter().map(|e| e.as_deref()).collect();
-        let p_slice = raw.get(n_data).and_then(|e| e.as_deref());
-        let q_slice = raw.get(n_data + 1).and_then(|e| e.as_deref());
-        let recovered = redundancy::reconstruct_verified(
-            self.cfg.redundancy,
-            &data_masked,
-            &sizes,
-            p_slice,
-            q_slice,
-            &expected,
-            &plane,
-        )
-        .map_err(|_| unrecoverable())?;
-
-        // Restore the requested image's verified bytes to the buffer.
-        let idx = group
-            .data
-            .iter()
-            .position(|id| *id == image)
-            .ok_or_else(unrecoverable)?;
-        let bytes = recovered.get(idx).cloned().ok_or_else(unrecoverable)?;
-        time += self.vm.write_time(self.vol_buffer, bytes.len() as u64)?;
-        self.vm.allocate(self.vol_buffer, bytes.len() as u64)?;
-        self.store
-            .restore_disk_copy(image, bytes, &plane)
-            .map_err(|_| unrecoverable())?;
-        Ok(time)
-    }
-
     /// Total instantaneous power of the optical drives (rack aggregation
     /// lives in `ros-tco`).
     pub fn drive_power_watts(&self) -> f64 {
@@ -2518,12 +2239,7 @@ impl Ros {
             };
             for i in 0..self.cfg.drives_per_bay {
                 if info.sizes.get(i).copied().unwrap_or(0) > 0 {
-                    let imgs: Vec<ImageId> = group
-                        .data
-                        .iter()
-                        .chain(group.parity.iter())
-                        .copied()
-                        .collect();
+                    let imgs = group.members();
                     let img = imgs.get(i).copied().unwrap_or(ImageId(0));
                     if let Some(d) = self.bays[bay].drive_mut(i) {
                         let _ = d.interrupt_burn(img.0, 0);

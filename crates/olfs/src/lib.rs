@@ -25,8 +25,8 @@
 //! plus the cross-cutting mechanisms: metadata/data decoupling
 //! ([`mv`], [`index`]), preliminary bucket writing ([`wbm`]), unique file
 //! paths (`ros-udf`), regenerating updates ([`index`] version rings),
-//! delayed parity generation ([`redundancy`]) and namespace recovery
-//! ([`recovery`]).
+//! delayed parity generation ([`redundancy`]), the one repair path
+//! (`repair`) and namespace recovery ([`recovery`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,6 +46,7 @@ pub mod params;
 pub mod posix;
 pub mod recovery;
 pub mod redundancy;
+mod repair;
 pub mod supervise;
 pub mod trace;
 pub mod wbm;

@@ -130,15 +130,7 @@ impl Ros {
                     .unwrap_or(false)
             })
             .collect();
-        let mut n = 0;
-        for id in ids {
-            if let Ok(freed) = self.store.evict_disk_copy(id) {
-                let _ = self.vm.release(self.vol_buffer, freed);
-                self.cache.remove(id);
-                n += 1;
-            }
-        }
-        n
+        self.drop_disk_copies(ids)
     }
 
     /// Drops the disk-tier copies of *every* burned image — data and
@@ -155,15 +147,7 @@ impl Ros {
             .filter(|i| i.burned.is_some() && i.on_disk())
             .map(|i| i.id)
             .collect();
-        let mut n = 0;
-        for id in ids {
-            if let Ok(freed) = self.store.evict_disk_copy(id) {
-                let _ = self.vm.release(self.vol_buffer, freed);
-                self.cache.remove(id);
-                n += 1;
-            }
-        }
-        n
+        self.drop_disk_copies(ids)
     }
 
     /// Flips `bytes` payload bytes on every burned in-tray disc —
@@ -244,18 +228,7 @@ impl Ros {
                 self.cache.insert(*image);
                 self.cache.pin(*image);
             }
-            // Bring the array home and retire its tray.
-            for bay in 0..self.bays.len() {
-                if self.mech.bay_contents(bay).is_ok_and(|c| c == group.slot) {
-                    self.unload_bay(bay)?;
-                }
-            }
-            let old_slot = self.store.reset_group_for_rewrite(gid)?;
-            if let Some(slot) = old_slot {
-                let idx = self.cfg.layout.slot_index(slot);
-                self.store.set_da_state(idx, DaState::Failed);
-            }
-            self.schedule_parity(gid);
+            self.rewrite_array(&group)?;
             rewritten += 1;
         }
         // Let the re-burns complete.
@@ -444,12 +417,7 @@ impl Ros {
         let Some(first) = paths.first() else {
             return Err(OlfsError::ImageLost(image));
         };
-        let original = {
-            // Shadow paths resolve through their original index files.
-
-            first.clone()
-        };
-        let _ = self.read_file(&original)?;
+        let _ = self.read_file(first)?;
         Ok(())
     }
 }

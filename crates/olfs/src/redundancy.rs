@@ -16,6 +16,7 @@ use bytes::Bytes;
 use ros_cas::{verify_payload, Digest};
 use ros_disk::parity::{self, ParityError};
 use ros_disk::plane::DataPlane;
+use std::borrow::Cow;
 
 /// Parity payloads for one disc array.
 #[derive(Clone, Debug, PartialEq)]
@@ -199,36 +200,162 @@ pub fn reconstruct_with(
         .collect())
 }
 
-/// Content digests of a parity group's members, hashed on the plane.
-///
-/// Captured at parity-generation time, these pin the exact bytes the
-/// parity covers; [`reconstruct_verified`] checks recovered members
-/// against them so silent corruption of a *survivor* cannot masquerade
-/// as a successful reconstruction.
-pub fn member_digests(data_images: &[&[u8]], plane: &DataPlane) -> Vec<Digest> {
-    plane.map(data_images, |d| {
-        ros_cas::content_digest(d, &DataPlane::single())
-    })
+/// Sector granularity of a drive damage map
+/// (`ros_drive::params::SECTOR_BYTES`).
+pub const SECTOR: usize = 2_048;
+
+/// One array member as gathered for [`repair`]. Members are listed in
+/// array order: the data images, then P, then Q.
+#[derive(Clone, Debug, Default)]
+pub struct Member {
+    /// The member's bytes as read. `None` erases the whole member: it
+    /// was unreadable, or failed its content digest.
+    pub bytes: Option<Bytes>,
+    /// The drive's damage map: track-relative indices of unreadable
+    /// [`SECTOR`]s, ascending. The bytes there are garbage.
+    pub bad_sectors: Vec<u64>,
 }
 
-/// [`reconstruct_with`], then verifies every member against the digests
-/// captured by [`member_digests`] at generation time.
-pub fn reconstruct_verified(
+/// A data member [`repair`] hands back, digest-verified.
+#[derive(Clone, Copy, Debug)]
+pub struct Wanted {
+    /// Index into the member list.
+    pub member: usize,
+    /// True (unpadded) length of the image.
+    pub size: usize,
+    /// Content digest recorded at seal time.
+    pub digest: Digest,
+}
+
+/// Repairs a disc array from per-member erasure masks (§4.7) and
+/// returns the `wanted` data members, each verified against its digest.
+///
+/// A member's mask is its damage map, or all of it when its bytes are
+/// `None`. Members are zero-padded to the longest one and the stripe is
+/// cut into maximal sector runs that share one damaged-member set; each
+/// run that damages a data member is rebuilt in one plane call. Repair
+/// is therefore sector-granular: several members may be damaged as long
+/// as no run loses more than the schema tolerates
+/// ([`RedundancyError::TooManyLost`] otherwise). A result that fails its
+/// digest — a survivor was itself corrupt — is
+/// [`RedundancyError::DigestMismatch`]. Untouched members come back as
+/// refcounted slices of their input.
+pub fn repair(
     schema: Redundancy,
-    data: &[Option<&[u8]>],
-    sizes: &[usize],
-    p: Option<&[u8]>,
-    q: Option<&[u8]>,
-    expected: &[Digest],
+    members: &[Member],
+    n_data: usize,
+    wanted: &[Wanted],
     plane: &DataPlane,
 ) -> Result<Vec<Bytes>, RedundancyError> {
-    let recovered = reconstruct_with(schema, data, sizes, p, q, plane)?;
-    for (i, (member, digest)) in recovered.iter().zip(expected.iter()).enumerate() {
-        if verify_payload(digest, member, plane).is_err() {
-            return Err(RedundancyError::DigestMismatch { member: i });
+    if members.is_empty() {
+        return Err(RedundancyError::Empty);
+    }
+    let tolerated = schema.tolerated_losses() as usize;
+    let stripe_len = members
+        .iter()
+        .filter_map(|m| m.bytes.as_ref().map(Bytes::len))
+        .max()
+        .ok_or(RedundancyError::TooManyLost {
+            lost: members.len(),
+            tolerated,
+        })?;
+    let sectors = stripe_len.div_ceil(SECTOR) as u64;
+    // The damaged set changes only where some member's damage starts or
+    // stops.
+    let mut cuts: Vec<u64> = members
+        .iter()
+        .flat_map(|m| &m.bad_sectors)
+        .flat_map(|&s| [s, s + 1])
+        .filter(|&s| s < sectors)
+        .chain([0, sectors])
+        .collect();
+    cuts.sort_unstable();
+    cuts.dedup();
+    let mut runs: Vec<(u64, u64, Vec<usize>)> = Vec::new();
+    for w in cuts.windows(2) {
+        let set: Vec<usize> = (0..members.len())
+            .filter(|&i| {
+                let m = &members[i];
+                m.bytes.is_none() || m.bad_sectors.binary_search(&w[0]).is_ok()
+            })
+            .collect();
+        match runs.last_mut() {
+            Some((_, end, last)) if *last == set => *end = w[1],
+            _ => runs.push((w[0], w[1], set)),
         }
     }
-    Ok(recovered)
+
+    let absent_parity = (n_data + schema.parity_discs() as usize).saturating_sub(members.len());
+    let mut out: Vec<Option<Vec<u8>>> = vec![None; wanted.len()];
+    for (start, end, set) in runs {
+        if !set.iter().any(|&i| i < n_data) {
+            continue; // Only parity damaged: the data is intact.
+        }
+        let lost = set.len() + absent_parity;
+        if lost > tolerated {
+            return Err(RedundancyError::TooManyLost { lost, tolerated });
+        }
+        let lo = start as usize * SECTOR;
+        let hi = (end as usize * SECTOR).min(stripe_len);
+        let window = |i: usize| match members.get(i) {
+            Some(Member { bytes: Some(b), .. }) if !set.contains(&i) => Some(padded(b, lo, hi)),
+            _ => None,
+        };
+        let data: Vec<Option<Cow<'_, [u8]>>> = (0..n_data).map(window).collect();
+        let data: Vec<Option<&[u8]>> = data.iter().map(Option::as_deref).collect();
+        let (p, q) = (window(n_data), window(n_data + 1));
+        let rebuilt = match schema {
+            Redundancy::None => return Err(RedundancyError::TooManyLost { lost, tolerated }),
+            Redundancy::Raid5 => parity::reconstruct_p_with(&data, p.as_deref(), plane)?.0,
+            Redundancy::Raid6 => {
+                parity::reconstruct_pq_with(&data, p.as_deref(), q.as_deref(), plane)?.0
+            }
+        };
+        for (w, buf) in wanted.iter().zip(out.iter_mut()) {
+            let touched = set.contains(&w.member) && lo < w.size;
+            let Some(src) = rebuilt.get(w.member).filter(|_| touched) else {
+                continue;
+            };
+            let buf = buf.get_or_insert_with(|| member_bytes(members, w).into_owned());
+            let hi = hi.min(w.size);
+            buf[lo..hi].copy_from_slice(&src[..hi - lo]);
+        }
+    }
+
+    wanted
+        .iter()
+        .zip(out)
+        .map(|(w, buf)| {
+            let bytes = match (buf, members.get(w.member).and_then(|m| m.bytes.as_ref())) {
+                (Some(buf), _) => Bytes::from(buf),
+                (None, Some(b)) if b.len() >= w.size => b.slice(..w.size),
+                (None, _) => Bytes::from(member_bytes(members, w).into_owned()),
+            };
+            verify_payload(&w.digest, &bytes, plane)
+                .map(|()| bytes)
+                .map_err(|_| RedundancyError::DigestMismatch { member: w.member })
+        })
+        .collect()
+}
+
+/// A wanted member's bytes as gathered, trimmed or zero-filled to its
+/// true size.
+fn member_bytes<'a>(members: &'a [Member], w: &Wanted) -> Cow<'a, [u8]> {
+    let bytes = members.get(w.member).and_then(|m| m.bytes.as_deref());
+    padded(bytes.unwrap_or_default(), 0, w.size)
+}
+
+/// `bytes[lo..hi]`, zero-filled past the end of `bytes`; borrowed when
+/// `bytes` covers the whole window.
+fn padded(bytes: &[u8], lo: usize, hi: usize) -> Cow<'_, [u8]> {
+    match bytes.get(lo..hi) {
+        Some(window) => Cow::Borrowed(window),
+        None => {
+            let mut v = bytes.get(lo..).unwrap_or_default().to_vec();
+            v.resize(hi - lo, 0);
+            Cow::Owned(v)
+        }
+    }
 }
 
 #[cfg(test)]
@@ -381,60 +508,143 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn verified_reconstruction_catches_corrupt_survivors() {
-        let imgs = images();
-        let sizes: Vec<usize> = imgs.iter().map(Vec::len).collect();
-        let plane = DataPlane::single();
-        let set = generate(Redundancy::Raid5, &refs(&imgs)).unwrap();
-        let digests = member_digests(&refs(&imgs), &plane);
-        assert_eq!(digests.len(), imgs.len());
+    fn digest(d: &[u8]) -> Digest {
+        ros_cas::content_digest(d, &DataPlane::single())
+    }
 
-        // Clean single-loss reconstruction passes verification.
-        let mut masked: Vec<Option<&[u8]>> = imgs.iter().map(|d| Some(d.as_slice())).collect();
-        masked[4] = None;
-        let rec = reconstruct_verified(
-            Redundancy::Raid5,
-            &masked,
-            &sizes,
-            set.p.as_deref(),
-            None,
-            &digests,
-            &plane,
-        )
-        .unwrap();
-        assert_eq!(rec[4].as_ref(), imgs[4].as_slice());
+    /// Every data image (plus its parity) as intact [`Member`]s.
+    fn members(imgs: &[Vec<u8>], set: &ParitySet) -> Vec<Member> {
+        imgs.iter()
+            .map(|d| Bytes::from(d.clone()))
+            .chain(set.p.clone())
+            .chain(set.q.clone())
+            .map(|b| Member {
+                bytes: Some(b),
+                bad_sectors: Vec::new(),
+            })
+            .collect()
+    }
 
-        // Flip one byte in a *survivor*: parity math still "succeeds",
-        // but the digest check names the poisoned reconstruction.
-        let mut corrupt = imgs.clone();
-        corrupt[0][10] ^= 0xff;
-        let masked: Vec<Option<&[u8]>> = corrupt
-            .iter()
+    fn want_all(imgs: &[Vec<u8>]) -> Vec<Wanted> {
+        imgs.iter()
             .enumerate()
-            .map(|(i, d)| (i != 4).then_some(d.as_slice()))
-            .collect();
-        let err = reconstruct_verified(
-            Redundancy::Raid5,
-            &masked,
-            &sizes,
-            set.p.as_deref(),
-            None,
-            &digests,
-            &plane,
-        )
-        .unwrap_err();
-        assert!(matches!(err, RedundancyError::DigestMismatch { .. }));
+            .map(|(member, d)| Wanted {
+                member,
+                size: d.len(),
+                digest: digest(d),
+            })
+            .collect()
+    }
+
+    /// Sector-sized images, so damage maps can name whole sectors.
+    fn sector_images(n: usize) -> Vec<Vec<u8>> {
+        (0..n)
+            .map(|i| {
+                (0..(6 * SECTOR + 100 * i))
+                    .map(|j| (i as u8).wrapping_mul(37) ^ (j as u8) ^ ((j / SECTOR) as u8))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Garbles every byte of `sectors` in a member, as an unreadable
+    /// sector's garbage would.
+    fn garble(m: &mut Member, sectors: &[u64]) {
+        let mut v = m.bytes.take().unwrap().to_vec();
+        for &s in sectors {
+            let lo = s as usize * SECTOR;
+            for b in v.iter_mut().skip(lo).take(SECTOR) {
+                *b ^= 0xA5;
+            }
+        }
+        m.bytes = Some(Bytes::from(v));
+        m.bad_sectors = sectors.to_vec();
     }
 
     #[test]
-    fn member_digests_are_thread_count_invariant() {
+    fn repair_beyond_tolerance_is_a_typed_error() {
+        let imgs = sector_images(4);
+        let set = generate(Redundancy::Raid5, &refs(&imgs)).unwrap();
+        // Two members damaged in the *same* sector: that stripe has two
+        // erasures and RAID-5 tolerates one.
+        let mut ms = members(&imgs, &set);
+        garble(&mut ms[0], &[3]);
+        garble(&mut ms[2], &[3, 4]);
+        let err = repair(
+            Redundancy::Raid5,
+            &ms,
+            4,
+            &want_all(&imgs),
+            &DataPlane::single(),
+        );
+        assert!(matches!(
+            err,
+            Err(RedundancyError::TooManyLost {
+                lost: 2,
+                tolerated: 1
+            })
+        ));
+        // Whole members gone past the tolerance, no parity at all, and
+        // nothing readable: typed errors, never a panic.
+        let mut ms = members(&imgs, &set);
+        ms[0].bytes = None;
+        ms[4].bytes = None;
+        assert!(repair(
+            Redundancy::Raid5,
+            &ms,
+            4,
+            &want_all(&imgs),
+            &DataPlane::single()
+        )
+        .is_err());
+        let mut ms = members(&imgs, &set);
+        ms.truncate(4);
+        garble(&mut ms[1], &[0]);
+        assert!(matches!(
+            repair(
+                Redundancy::None,
+                &ms,
+                4,
+                &want_all(&imgs),
+                &DataPlane::single()
+            ),
+            Err(RedundancyError::TooManyLost { .. })
+        ));
+        let blank = vec![Member::default(); 5];
+        assert!(repair(
+            Redundancy::Raid5,
+            &blank,
+            4,
+            &want_all(&imgs),
+            &DataPlane::single()
+        )
+        .is_err());
+        assert!(matches!(
+            repair(Redundancy::Raid5, &[], 0, &[], &DataPlane::single()),
+            Err(RedundancyError::Empty)
+        ));
+    }
+
+    #[test]
+    fn repair_names_a_corrupt_survivor() {
+        // Flip one byte in a *survivor*: the parity math still
+        // "succeeds", but the digest check names the poisoned member.
         let imgs = images();
-        let expect = member_digests(&refs(&imgs), &DataPlane::single());
-        for threads in [2, 4] {
-            let got = member_digests(&refs(&imgs), &DataPlane::new(threads));
-            assert_eq!(got, expect, "threads={threads}");
-        }
+        let set = generate(Redundancy::Raid5, &refs(&imgs)).unwrap();
+        let mut ms = members(&imgs, &set);
+        ms[4].bytes = None;
+        let mut corrupt = imgs[0].clone();
+        corrupt[10] ^= 0xff;
+        ms[0].bytes = Some(Bytes::from(corrupt));
+        let want = [want_all(&imgs)[4]];
+        let err = repair(
+            Redundancy::Raid5,
+            &ms,
+            imgs.len(),
+            &want,
+            &DataPlane::single(),
+        );
+        assert_eq!(err, Err(RedundancyError::DigestMismatch { member: 4 }));
     }
 
     #[test]

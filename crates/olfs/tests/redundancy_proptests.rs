@@ -6,8 +6,12 @@
 //! images, and any pattern one past the tolerance must be rejected with
 //! the typed error.
 
+use bytes::Bytes;
 use proptest::prelude::*;
-use ros_olfs::redundancy::{generate, reconstruct, RedundancyError};
+use ros_disk::DataPlane;
+use ros_olfs::redundancy::{
+    generate, reconstruct, repair, Member, RedundancyError, Wanted, SECTOR,
+};
 use ros_olfs::Redundancy;
 use ros_sim::SimRng;
 
@@ -20,6 +24,55 @@ fn images(seed: u64, n: usize, base: usize) -> Vec<Vec<u8>> {
             let mut v = vec![0u8; len.max(1)];
             rng.fill_bytes(&mut v);
             v
+        })
+        .collect()
+}
+
+/// Every data image plus its parity as gathered members, with sector
+/// damage drawn from `rng`: sector `k` loses `per_sector(k, rng)`
+/// distinct members, whose bytes there turn to garbage as on an
+/// unreadable sector.
+fn damaged_members(
+    imgs: &[Vec<u8>],
+    schema: Redundancy,
+    rng: &mut SimRng,
+    per_sector: impl Fn(usize, &mut SimRng) -> usize,
+) -> Vec<Member> {
+    let refs: Vec<&[u8]> = imgs.iter().map(|v| v.as_slice()).collect();
+    let set = generate(schema, &refs).expect("generate");
+    let mut raw: Vec<Vec<u8>> = imgs.to_vec();
+    raw.extend(set.p.iter().chain(set.q.iter()).map(|b| b.to_vec()));
+    let mut bad: Vec<Vec<u64>> = vec![Vec::new(); raw.len()];
+    let sectors = raw.iter().map(Vec::len).max().unwrap_or(0).div_ceil(SECTOR);
+    for k in 0..sectors {
+        let mut hit: Vec<usize> = (0..raw.len()).collect();
+        for _ in 0..per_sector(k, rng).min(raw.len()) {
+            let i = hit.swap_remove(rng.index(hit.len()));
+            bad[i].push(k as u64);
+            for b in raw[i].iter_mut().skip(k * SECTOR).take(SECTOR) {
+                *b = !*b;
+            }
+        }
+    }
+    raw.into_iter()
+        .zip(bad)
+        .map(|(r, mut bad_sectors)| {
+            bad_sectors.sort_unstable();
+            Member {
+                bytes: Some(Bytes::from(r)),
+                bad_sectors,
+            }
+        })
+        .collect()
+}
+
+fn want_all(imgs: &[Vec<u8>]) -> Vec<Wanted> {
+    imgs.iter()
+        .enumerate()
+        .map(|(member, d)| Wanted {
+            member,
+            size: d.len(),
+            digest: ros_cas::content_digest(d, &DataPlane::single()),
         })
         .collect()
 }
@@ -145,5 +198,54 @@ proptest! {
                 prop_assert_eq!(r.as_ref(), orig.as_slice());
             }
         }
+    }
+
+    // Sector-granular repair from erasure masks: any mix of members may
+    // carry damage maps as long as no sector loses more than the schema
+    // tolerates, optionally on top of one member erased whole (it
+    // failed its digest), and the exact data comes back — the same
+    // bytes the whole-member `reconstruct` oracle returns, at 1 and 2
+    // threads. One loss past the tolerance in any sector is the typed
+    // error.
+    #[test]
+    fn masked_repair_rebuilds_exact_data(
+        seed in any::<u64>(),
+        n in 2usize..7,
+        sectors in 1usize..6,
+        raid6 in any::<bool>(),
+        whole in any::<bool>(),
+    ) {
+        let schema = if raid6 { Redundancy::Raid6 } else { Redundancy::Raid5 };
+        let tolerated = schema.tolerated_losses() as usize;
+        let budget = tolerated - usize::from(whole);
+        let imgs = images(seed, n, sectors * SECTOR);
+        let mut rng = SimRng::seed_from(seed ^ 0x5EC7);
+        let mut members = damaged_members(&imgs, schema, &mut rng, |_, rng| rng.index(budget + 1));
+        if whole {
+            members[0] = Member::default();
+        }
+        let want = want_all(&imgs);
+        let plane = DataPlane::single();
+        let got = repair(schema, &members, n, &want, &plane).expect("within tolerance");
+        for (g, orig) in got.iter().zip(imgs.iter()) {
+            prop_assert_eq!(g.as_ref(), orig.as_slice());
+        }
+        let refs: Vec<&[u8]> = imgs.iter().map(|v| v.as_slice()).collect();
+        let set = generate(schema, &refs).expect("generate");
+        let sizes: Vec<usize> = imgs.iter().map(Vec::len).collect();
+        let mut masked: Vec<Option<&[u8]>> = refs.iter().map(|d| Some(*d)).collect();
+        masked[0] = None;
+        let oracle = reconstruct(schema, &masked, &sizes, set.p.as_deref(), set.q.as_deref())
+            .expect("oracle");
+        prop_assert_eq!(&got[0], &oracle[0]);
+        prop_assert_eq!(got, repair(schema, &members, n, &want, &DataPlane::new(2)).expect("2 threads"));
+
+        let over = damaged_members(&imgs, schema, &mut rng, |k, _| if k == 0 { tolerated + 1 } else { 0 });
+        let err = repair(schema, &over, n, &want, &plane);
+        prop_assert!(
+            matches!(err, Err(RedundancyError::TooManyLost { .. })),
+            "{:?}",
+            err.map(|v| v.len())
+        );
     }
 }
