@@ -183,24 +183,70 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
     fn read_range_equals_full_read_slice(
         size in 0usize..200_000,
         a in 0u64..250_000,
-        b in 0u64..250_000
+        b in 0u64..250_000,
+        kind in 0u8..4,
+        residency in 0u8..3
     ) {
-        let mut ros = Ros::new(RosConfig::tiny());
+        // kind: 0 fresh write, 1 in-place update (an unsized segment),
+        // 2 regenerated update, 3 dedup hit. residency: 0 open bucket,
+        // 1 sealed image, 2 on disc with the disk copy evicted.
+        let mut cfg = RosConfig::tiny();
+        cfg.dedup = kind == 3;
+        let mut ros = Ros::new(cfg);
         let path: UdfPath = "/range".parse().unwrap();
         let data: Vec<u8> = (0..size).map(|i| (i % 241) as u8).collect();
-        ros.write_file(&path, data.clone()).unwrap();
+        match kind {
+            1 => {
+                ros.write_file(&path, vec![7u8; 1_000]).unwrap();
+            }
+            2 => {
+                ros.write_file(&path, vec![7u8; 1_000]).unwrap();
+                ros.seal_open_buckets().unwrap();
+            }
+            3 => {
+                ros.write_file(&"/canonical".parse().unwrap(), data.clone()).unwrap();
+            }
+            _ => {}
+        }
+        let w = ros.write_file(&path, data.clone()).unwrap();
+        match residency {
+            1 => {
+                ros.seal_open_buckets().unwrap();
+            }
+            2 => {
+                ros.flush().unwrap();
+                ros.evict_all_burned_copies();
+            }
+            _ => {}
+        }
         let (offset, len) = if a <= b { (a, b - a) } else { (b, a - b) };
         let r = ros.read_range(&path, offset, len).unwrap();
         let lo = (offset as usize).min(data.len());
         let hi = ((offset + len) as usize).min(data.len());
         prop_assert_eq!(r.data.as_ref(), &data[lo..hi]);
+        prop_assert_eq!(r.version, w.version);
+        // The three whole-file reads agree on bytes and version.
+        let whole = [
+            ros.read_file(&path).unwrap(),
+            ros.read_version(&path, w.version).unwrap(),
+            ros.read_range(&path, 0, u64::MAX).unwrap(),
+        ];
+        for r in &whole {
+            prop_assert_eq!(r.data.as_ref(), data.as_slice());
+            prop_assert_eq!(r.version, w.version);
+        }
     }
+
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
     fn read_range_equals_full_read_slice_on_split_files(
