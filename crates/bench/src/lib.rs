@@ -3,8 +3,8 @@
 //! Each function in [`experiments`] builds the scenario behind one table
 //! or figure of §5 (or a quantitative claim from §2/§4), runs it through
 //! the actual system models, and returns structured results. The `repro`
-//! binary renders them in the paper's layout; the Criterion benches in
-//! `benches/` time the same scenarios.
+//! binary renders them in the paper's layout, `repro perf` times the hot
+//! paths, and `tests/paper_calibration.rs` checks them against the paper.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

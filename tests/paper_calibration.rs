@@ -1,12 +1,21 @@
 //! End-to-end calibration against the paper's published numbers: every
-//! table and figure within tolerance. The same scenarios back the
-//! Criterion benches; this test makes `cargo test` alone sufficient to
-//! check the reproduction.
+//! table and figure within tolerance, and the shape of each. `repro`
+//! renders the same scenarios; this test makes `cargo test` alone
+//! sufficient to check the reproduction.
 
 #[test]
 fn table1_read_latency_matrix() {
     let rows = ros_bench::table1().expect("table1 scenario");
     assert_eq!(rows.len(), 6);
+    // Each location is strictly slower than the one before it.
+    for pair in rows.windows(2) {
+        assert!(
+            pair[1].measured_secs > pair[0].measured_secs,
+            "Table 1 rows must be ordered by latency: {} then {}",
+            pair[0].location,
+            pair[1].location
+        );
+    }
     for row in &rows {
         if let Some(paper) = row.paper_secs {
             let tol = (paper * 0.05f64).max(0.0003);
@@ -67,11 +76,21 @@ fn fig6_stack_throughput() {
     // The headline absolute numbers.
     assert!((get("samba+OLFS").read_mbps - 236.1).abs() < 8.0);
     assert!((get("samba+OLFS").write_mbps - 323.6).abs() < 8.0);
+    // Read throughput strictly descends across the stacks.
+    for pair in bars.windows(2) {
+        assert!(
+            pair[0].read_norm > pair[1].read_norm,
+            "{} then {}",
+            pair[0].stack,
+            pair[1].stack
+        );
+    }
 }
 
 #[test]
 fn fig7_op_latencies() {
-    for op in ros_bench::fig7().expect("fig7 scenario") {
+    let ops = ros_bench::fig7().expect("fig7 scenario");
+    for op in &ops {
         let rel = (op.measured_ms - op.paper_ms).abs() / op.paper_ms;
         assert!(
             rel < 0.08,
@@ -81,6 +100,17 @@ fn fig7_op_latencies() {
             op.paper_ms
         );
     }
+    // The samba write gains exactly the paper's extra stat burst.
+    let samba_write = ops
+        .iter()
+        .find(|o| o.label == "samba+OLFS write")
+        .expect("samba+OLFS write op");
+    let stats = samba_write
+        .steps
+        .iter()
+        .filter(|(n, _)| n == "stat")
+        .count();
+    assert_eq!(stats, 8, "2 OLFS stats + 6 Samba stats");
 }
 
 #[test]
