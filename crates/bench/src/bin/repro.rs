@@ -4,7 +4,8 @@
 //!
 //! Perf harness: `repro perf` (text), `repro perf --json` (baseline
 //! format), `repro perf --check BENCH_hotpaths.json` (CI gate — exits
-//! non-zero when a tracked metric regresses past the threshold).
+//! non-zero when a tracked metric's median over 5 passes regresses past
+//! the threshold).
 //!
 //! Chaos harness: `repro chaos` (full soak), `repro chaos --smoke`
 //! (CI-sized run). Exits non-zero on acked-write loss, timeline
@@ -24,9 +25,10 @@
 
 use ros_bench::{perf, render};
 
-/// `repro perf [--json | --check <baseline>]`.
+/// `repro perf [--json | --check <baseline>]`: every mode reports the
+/// per-metric median of 5 independent passes.
 fn run_perf(mode: Option<&str>, baseline_path: Option<&str>) -> Result<String, String> {
-    let report = perf::measure(5);
+    let report = perf::measure_passes(5, 5);
     match mode {
         None => Ok(report.to_text()),
         Some("--json") => Ok(report.to_json().map_err(|e| e.to_string())? + "\n"),

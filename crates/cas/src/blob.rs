@@ -48,14 +48,60 @@ impl core::fmt::Display for CasError {
 
 impl std::error::Error for CasError {}
 
-/// Verifies a payload against an expected digest, hashing on `plane`.
+/// Bytes proven to hash to a digest: the one product of
+/// [`verify_payload`].
 ///
-/// The single verify-by-digest entry point: scrub, the cluster drill
-/// and the chaos sweep all route integrity checks through here.
-pub fn verify_payload(expected: &Digest, data: &[u8], plane: &DataPlane) -> Result<(), CasError> {
+/// The fields are private and `verify_payload` is the only constructor,
+/// so holding a `Verified` means the bytes were digest-checked once, at
+/// the trust boundary. Layers that receive one compare digests instead
+/// of hashing the bytes again. Cloning shares the refcounted `Bytes`.
+#[derive(Clone, PartialEq, Eq)]
+pub struct Verified {
+    bytes: Bytes,
+    digest: Digest,
+}
+
+impl Verified {
+    /// The checked bytes.
+    pub fn bytes(&self) -> &Bytes {
+        &self.bytes
+    }
+
+    /// The digest the bytes were checked against.
+    pub fn digest(&self) -> Digest {
+        self.digest
+    }
+
+    /// The checked bytes, giving up the proof.
+    pub fn into_bytes(self) -> Bytes {
+        self.bytes
+    }
+}
+
+impl core::fmt::Debug for Verified {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        write!(f, "Verified({:?}, {} bytes)", self.digest, self.bytes.len())
+    }
+}
+
+/// Verifies a payload against an expected digest, hashing on `plane`,
+/// and returns the proof.
+///
+/// The single verify-by-digest entry point: fetches, the audit, repair,
+/// scrub, the cluster drill and the chaos sweep all route integrity
+/// checks through here. The content digest binds the payload length,
+/// so a truncated or extended payload is a mismatch too.
+pub fn verify_payload(
+    expected: &Digest,
+    data: &Bytes,
+    plane: &DataPlane,
+) -> Result<Verified, CasError> {
     let actual = content_digest(data, plane);
     if actual == *expected {
-        Ok(())
+        Ok(Verified {
+            bytes: data.clone(),
+            digest: actual,
+        })
     } else {
         Err(CasError::DigestMismatch {
             expected: *expected,
@@ -197,7 +243,7 @@ impl BlobStore {
     /// Recomputes a stored blob's digest on `plane` and checks it.
     pub fn verify(&self, digest: &Digest, plane: &DataPlane) -> Result<(), CasError> {
         let bytes = self.get(digest)?;
-        verify_payload(digest, bytes, plane)
+        verify_payload(digest, bytes, plane).map(drop)
     }
 
     /// Stored digests in order (deterministic iteration).
@@ -411,9 +457,42 @@ mod tests {
         assert!(s.verify(&out.digest, &plane()).is_ok());
         let wrong = Digest::of(b"other bytes");
         assert!(matches!(
-            verify_payload(&wrong, b"good bytes", &plane()),
+            verify_payload(&wrong, &Bytes::from_static(b"good bytes"), &plane()),
             Err(CasError::DigestMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn verify_payload_proves_only_matching_bytes() {
+        let good = Bytes::from_static(b"sealed image bytes");
+        let digest = Digest::of(&good);
+        let proof = verify_payload(&digest, &good, &plane()).expect("digest matches");
+        assert_eq!(proof.digest(), digest);
+        assert_eq!(proof.bytes(), &good);
+        assert_eq!(proof.clone().into_bytes(), good);
+
+        // A wrong digest, a flipped byte and a truncated payload are
+        // each a typed mismatch naming both digests, never a proof.
+        let other = Digest::of(b"another image");
+        assert_eq!(
+            verify_payload(&other, &good, &plane()),
+            Err(CasError::DigestMismatch {
+                expected: other,
+                actual: digest,
+            })
+        );
+        let mut flipped = good.to_vec();
+        flipped[3] ^= 1;
+        let short = good.slice(..good.len() - 1);
+        for bad in [Bytes::from(flipped), short] {
+            assert_eq!(
+                verify_payload(&digest, &bad, &plane()),
+                Err(CasError::DigestMismatch {
+                    expected: digest,
+                    actual: Digest::of(&bad),
+                })
+            );
+        }
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //!   strict refcount invariants and typed [`CasError`]s), the
 //!   `(tenant, bucket, path) → Digest` index [`Cas`], and the single
 //!   [`verify_payload`] entry point every integrity check routes
-//!   through.
+//!   through, whose [`Verified`] proof lets later layers skip a second
+//!   hash of the same bytes.
 //!
 //! The OLFS engine consumes this crate for write-path dedup (duplicate
 //! payloads share one blob, one bucket residency and one burn), image
@@ -28,5 +29,6 @@ pub mod digest;
 
 pub use blob::{
     verify_payload, BlobStore, Cas, CasError, IngestOutcome, ObjectKey, PutOutcome, StoreStats,
+    Verified,
 };
 pub use digest::{content_digest, sha256, Digest, CHUNK_BYTES};

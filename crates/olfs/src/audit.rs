@@ -18,12 +18,14 @@
 //! Detected rot is repaired through the redundancy ladder:
 //!
 //! 1. **Array redundancy** — every member of the rotted image's disc
-//!    array is gathered from its tray and digest-verified *whole*;
-//!    mismatching members are erased and reconstructed through the
-//!    GF(256) P/Q parity kernels ([`crate::redundancy::repair`], the
-//!    same path the fetch repairs use). The healed array is then
-//!    rewritten onto fresh media, retiring the rotted tray — the same
-//!    rewrite as §4.7's scrub-triggered one.
+//!    array is gathered from its tray and digest-verified *whole* (a
+//!    member the sample already checked keeps that verdict instead of a
+//!    second hash); mismatching members are erased and reconstructed
+//!    through the GF(256) P/Q parity kernels
+//!    ([`crate::redundancy::repair`], the same path the fetch repairs
+//!    use). The healed array is then rewritten onto fresh media,
+//!    retiring the rotted tray — the same rewrite as §4.7's
+//!    scrub-triggered one.
 //! 2. **Replica escalation** — if more members rotted than the parity
 //!    schema tolerates, the image is reported
 //!    [`AuditReport::unrepairable`] and a cluster front end re-fetches
@@ -38,7 +40,7 @@ use crate::dim::GroupState;
 use crate::engine::Ros;
 use crate::error::OlfsError;
 use crate::ids::{ArrayId, ImageId};
-use crate::repair::Source;
+use crate::repair::{Checks, Source};
 use ros_drive::media::Payload;
 use ros_sim::SimDuration;
 use std::collections::BTreeMap;
@@ -114,8 +116,9 @@ impl Ros {
         }
         candidates.truncate(take);
 
-        // Verify each sampled image end to end.
-        let plane = self.data_plane();
+        // Verify each sampled image end to end, keeping every verdict
+        // for the repair below.
+        let mut checks = Checks::default();
         let mut total_bytes = 0u64;
         for id in candidates {
             let Some(info) = self.store.get(id) else {
@@ -127,7 +130,7 @@ impl Ros {
             // a burned image falls through to the on-media bytes.
             if let Some(p) = &info.payload {
                 total_bytes += p.len() as u64;
-                if ros_cas::verify_payload(&digest, p, &plane).is_ok() {
+                if checks.record(id, p, self.verify(&digest, p)) {
                     report.verified += 1;
                     continue;
                 }
@@ -144,7 +147,7 @@ impl Ros {
             let ok = match self.registry.disc(loc.disc).map(|d| d.read_image_raw(id.0)) {
                 Some(Ok((Payload::Inline(bytes), bad))) => {
                     total_bytes += bytes.len() as u64;
-                    bad.is_empty() && ros_cas::verify_payload(&digest, bytes, &plane).is_ok()
+                    bad.is_empty() && checks.record(id, bytes, self.verify(&digest, bytes))
                 }
                 // Synthetic tracks carry no real bytes to hash; the
                 // checksum-level scrub covers them.
@@ -174,7 +177,7 @@ impl Ros {
                 report.unrepairable.extend(images);
                 continue;
             };
-            match self.repair_rotted_array(gid) {
+            match self.repair_rotted_array(gid, &checks) {
                 Ok(time) => {
                     report.elapsed += time;
                     report.repaired.extend(images);
@@ -183,6 +186,8 @@ impl Ros {
                 Err(_) => report.unrepairable.extend(images),
             }
         }
+        // The verdicts hold their buffers alive; the re-burns need none.
+        drop(checks);
         if rewrote {
             // Let the fresh-media re-burns complete.
             self.run_until_quiescent(SimDuration::from_secs(3600 * 24));
@@ -191,19 +196,24 @@ impl Ros {
         report
     }
 
-    /// Heals one rotted disc array: gathers every member from its tray,
+    /// Heals one rotted disc array: gathers every member from its tray
+    /// (reusing the sample's `checks` for the bytes they covered),
     /// erases the digest-mismatching ones, reconstructs them, restores
     /// every data member that lacks a healthy buffer copy (pinned until
     /// the re-burn) and rewrites the array onto fresh media, retiring
     /// the rotted tray. Errors if the rot exceeds the schema's
     /// tolerance — the caller escalates to a replica.
-    fn repair_rotted_array(&mut self, gid: ArrayId) -> Result<SimDuration, OlfsError> {
+    fn repair_rotted_array(
+        &mut self,
+        gid: ArrayId,
+        checks: &Checks,
+    ) -> Result<SimDuration, OlfsError> {
         let group = self
             .store
             .group(gid)
             .ok_or_else(|| OlfsError::BadState(format!("no group {gid}")))?
             .clone();
-        let gathered = self.gather_array(&group.members(), Source::Trays, true);
+        let gathered = self.gather_array(&group.members(), Source::Trays, Some(checks));
         let scan = self.bays[0]
             .aggregate_read_speed(self.cfg.disc_class)
             .time_for(gathered.bytes_read());
@@ -232,6 +242,7 @@ impl Ros {
 mod tests {
     use super::*;
     use crate::config::RosConfig;
+    use crate::engine::ReadSource;
     use ros_faults::{FaultEvent, FaultKind, FaultSink, InjectionOutcome};
 
     fn p(s: &str) -> ros_udf::UdfPath {
@@ -375,6 +386,97 @@ mod tests {
         );
         let read = r.read_file(&p("/audit/g")).unwrap();
         assert_eq!(read.data.as_ref(), data.as_slice());
+    }
+
+    /// A burned, cold-stored library of `files` 900 KB files, which
+    /// seal into several data images of one RAID-5 array.
+    fn burned_array(files: u8) -> Ros {
+        let mut r = Ros::new(RosConfig::tiny());
+        for i in 0..files {
+            r.write_file(&p(&format!("/hash/{i}")), vec![i; 900_000])
+                .unwrap();
+        }
+        r.flush().unwrap();
+        r.evict_burned_copies();
+        r.unload_all_bays().unwrap();
+        r
+    }
+
+    fn size(r: &Ros, image: ImageId) -> u64 {
+        r.store.get(image).unwrap().size
+    }
+
+    #[test]
+    fn cold_read_hashes_the_fetched_image_once() {
+        let mut r = burned_array(6);
+        let path = p("/hash/0");
+        let segs = r.image_segments(&path).unwrap();
+        assert_eq!(segs.len(), 1);
+        assert!(!r.store.get(segs[0]).unwrap().on_disk(), "cold");
+        let before = r.digest_bytes();
+        let read = r.read_file(&path).unwrap();
+        assert_eq!(read.data.as_ref(), &[0u8; 900_000][..]);
+        assert!(read.source > ReadSource::DiskImage, "a fetch from disc");
+        // Exactly one digest pass over the fetched image: the verify at
+        // the fetch; the restore takes its proof.
+        assert_eq!(r.digest_bytes() - before, size(&r, segs[0]));
+        // A warm re-read hashes nothing.
+        let before = r.digest_bytes();
+        r.read_file(&path).unwrap();
+        assert_eq!(r.digest_bytes(), before);
+    }
+
+    #[test]
+    fn latent_rot_fetch_hashes_each_member_once_plus_the_rebuilt_image() {
+        let mut r = burned_array(10);
+        let path = p("/hash/0");
+        let image = r.image_segments(&path).unwrap()[0];
+        let gid = r.store.get(image).and_then(|i| i.array).unwrap();
+        let members: u64 = r
+            .store
+            .group(gid)
+            .unwrap()
+            .members()
+            .iter()
+            .map(|m| size(&r, *m))
+            .sum();
+        let loc = r.store.location_of(image).unwrap();
+        assert!(r.registry.disc_mut(loc.disc).unwrap().rot_bytes(image.0, 3) > 0);
+        let before = r.digest_bytes();
+        let read = r.read_file(&path).unwrap();
+        assert_eq!(read.data.as_ref(), &[0u8; 900_000][..]);
+        assert_eq!(r.counters().latent_repairs, 1);
+        // The fetch's failed check covers the rotted member, so the
+        // gather hashes only the others; the rebuilt image is proven once.
+        assert_eq!(r.digest_bytes() - before, members + size(&r, image));
+    }
+
+    #[test]
+    fn audit_repair_hashes_each_member_once_plus_the_rebuilt_outputs() {
+        let mut r = burned_array(10);
+        let gid = r.store.groups_in_state(GroupState::Burned)[0];
+        let group = r.store.group(gid).unwrap().clone();
+        assert!(group.data.len() >= 2 && group.parity.len() == 1);
+        assert_eq!(
+            r.inject_fault(&ev(FaultKind::MediaRot { disc: 0, bytes: 3 })),
+            InjectionOutcome::Injected
+        );
+        let members: u64 = group.members().iter().map(|m| size(&r, *m)).sum();
+        // The repair rebuilds every data member that had no buffer copy:
+        // all of them here. Their proofs are its only new hashes.
+        let rebuilt: u64 = group.data.iter().map(|m| size(&r, *m)).sum();
+
+        let before = r.digest_bytes();
+        let report = r.audit_sample(64);
+        let hashed = r.digest_bytes() - before;
+        assert_eq!(report.sampled, group.members().len(), "one array");
+        assert_eq!(report.rotted.len(), 1);
+        assert_eq!(report.repaired, report.rotted);
+        // The rewrite then digests the array's fresh parity once.
+        let regrouped = r.store.group(gid).unwrap();
+        assert_eq!(regrouped.state, GroupState::Burned, "re-burned");
+        let parity: u64 = regrouped.parity.iter().map(|m| size(&r, *m)).sum();
+        assert_eq!(hashed, members + rebuilt + parity);
     }
 
     #[test]

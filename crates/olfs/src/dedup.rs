@@ -164,11 +164,11 @@ impl DedupLayer {
         &self,
         path: &UdfPath,
         version: u32,
-        data: &[u8],
+        data: &Bytes,
         plane: &DataPlane,
     ) -> Result<(), ros_cas::CasError> {
         match self.versions.get(&(path.to_string(), version)) {
-            Some(digest) => ros_cas::verify_payload(digest, data, plane),
+            Some(digest) => ros_cas::verify_payload(digest, data, plane).map(drop),
             None => Ok(()), // Not catalogued: nothing to verify against.
         }
     }
@@ -255,8 +255,9 @@ mod tests {
             },
         );
         assert!(layer.verify_version(&a, 1, &data, &plane()).is_ok());
-        assert!(layer.verify_version(&a, 1, b"tampered", &plane()).is_err());
+        let tampered = Bytes::from_static(b"tampered");
+        assert!(layer.verify_version(&a, 1, &tampered, &plane()).is_err());
         // Uncatalogued versions are vacuously fine.
-        assert!(layer.verify_version(&a, 9, b"anything", &plane()).is_ok());
+        assert!(layer.verify_version(&a, 9, &tampered, &plane()).is_ok());
     }
 }

@@ -13,8 +13,7 @@
 use crate::error::OlfsError;
 use crate::ids::{ArrayId, DiscId, ImageId};
 use bytes::Bytes;
-use ros_cas::{content_digest, verify_payload, Digest};
-use ros_disk::plane::DataPlane;
+use ros_cas::{Digest, Verified};
 use ros_drive::media::{Disc, DiscClass, MediaKind};
 use ros_mech::{RackLayout, SlotAddress};
 use ros_udf::SealedImage;
@@ -100,7 +99,7 @@ pub struct ImageInfo {
     /// Payload size in bytes.
     pub size: u64,
     /// 256-bit `ros-cas` content digest of the payload; every restore
-    /// from disc re-verifies against it.
+    /// from disc must carry a proof for it.
     pub digest: Digest,
     /// Parsed image while a disk copy exists (data images only),
     /// refcounted so readers share one parse instead of deep-cloning.
@@ -185,13 +184,14 @@ impl ImageStore {
     /// Registers a sealed data image (a bucket just closed, §4.3) and
     /// adds it to the collecting array group.
     ///
-    /// Returns the group that became *complete* (reached `data_per_array`
-    /// data images), if any — the trigger for delayed parity generation.
+    /// `digest` is the image's `ros-cas` content digest. Returns the
+    /// group that became *complete* (reached `data_per_array` data
+    /// images), if any — the trigger for delayed parity generation.
     pub fn register_sealed(
         &mut self,
         sealed: SealedImage,
+        digest: Digest,
         data_per_array: u32,
-        plane: &DataPlane,
     ) -> Option<ArrayId> {
         let gid = match self.collecting {
             Some(g) => g,
@@ -208,7 +208,7 @@ impl ImageStore {
             id,
             kind: ImageKind::Data,
             size: payload.len() as u64,
-            digest: content_digest(&payload, plane),
+            digest,
             sealed: Some(Arc::new(sealed)),
             payload: Some(payload),
             burned: None,
@@ -232,12 +232,12 @@ impl ImageStore {
         }
     }
 
-    /// Registers the parity payload(s) of a group and marks it ready.
+    /// Registers the parity payload(s) of a group, each with its content
+    /// digest, and marks the group ready.
     pub fn register_parity(
         &mut self,
         gid: ArrayId,
-        payloads: Vec<Bytes>,
-        plane: &DataPlane,
+        payloads: Vec<(Bytes, Digest)>,
     ) -> Result<(), OlfsError> {
         let ids: Vec<ImageId> = payloads
             .iter()
@@ -257,7 +257,7 @@ impl ImageStore {
                 group.state
             )));
         }
-        for (id, payload) in ids.iter().zip(payloads) {
+        for (id, (payload, digest)) in ids.iter().zip(payloads) {
             group.parity.push(*id);
             self.images.insert(
                 *id,
@@ -265,7 +265,7 @@ impl ImageStore {
                     id: *id,
                     kind: ImageKind::Parity,
                     size: payload.len() as u64,
-                    digest: content_digest(&payload, plane),
+                    digest,
                     sealed: None,
                     payload: Some(payload),
                     burned: None,
@@ -369,33 +369,17 @@ impl ImageStore {
         Ok(freed)
     }
 
-    /// Restores a disk-tier copy after a fetch from disc, verifying the
-    /// payload against the image's `ros-cas` content digest.
-    pub fn restore_disk_copy(
-        &mut self,
-        id: ImageId,
-        payload: Bytes,
-        plane: &DataPlane,
-    ) -> Result<(), OlfsError> {
-        let info = self.images.get(&id).ok_or(OlfsError::ImageLost(id))?;
-        if let Err(e) = verify_payload(&info.digest, &payload, plane) {
-            return Err(OlfsError::BadState(format!(
-                "image {id} payload digest mismatch after fetch: {e}"
-            )));
-        }
-        self.restore_verified_copy(id, payload)
-    }
-
-    /// [`ImageStore::restore_disk_copy`] for bytes the caller already
-    /// verified against the image's digest (a
-    /// [`crate::redundancy::repair`] result): the digest is not
-    /// recomputed.
-    pub(crate) fn restore_verified_copy(
-        &mut self,
-        id: ImageId,
-        payload: Bytes,
-    ) -> Result<(), OlfsError> {
+    /// Restores a disk-tier copy (after a fetch, prefetch or repair)
+    /// from bytes proven against the image's `ros-cas` content digest.
+    /// The proof makes this a 32-byte digest compare, not a second hash;
+    /// a proof for other content is [`OlfsError::DigestMismatch`] and
+    /// leaves the store unchanged.
+    pub fn restore_disk_copy(&mut self, id: ImageId, proof: Verified) -> Result<(), OlfsError> {
         let info = self.images.get_mut(&id).ok_or(OlfsError::ImageLost(id))?;
+        if proof.digest() != info.digest {
+            return Err(OlfsError::DigestMismatch(id));
+        }
+        let payload = proof.into_bytes();
         if info.kind == ImageKind::Data {
             info.sealed = Some(Arc::new(
                 SealedImage::from_bytes(payload.clone())
@@ -543,8 +527,36 @@ mod tests {
         RackLayout::tiny()
     }
 
-    fn p() -> DataPlane {
-        DataPlane::single()
+    /// Registers a sealed image under its true content digest.
+    fn register(store: &mut ImageStore, img: SealedImage, n: u32) -> Option<ArrayId> {
+        let digest = Digest::of(img.bytes());
+        store.register_sealed(img, digest, n)
+    }
+
+    /// Parity payloads paired with their content digests.
+    fn with_digests(payloads: Vec<Bytes>) -> Vec<(Bytes, Digest)> {
+        payloads
+            .into_iter()
+            .map(|p| {
+                let d = Digest::of(&p);
+                (p, d)
+            })
+            .collect()
+    }
+
+    /// A proof for `bytes`, as a verified fetch would produce.
+    fn proof(bytes: &Bytes) -> Verified {
+        let plane = ros_disk::plane::DataPlane::single();
+        ros_cas::verify_payload(&Digest::of(bytes), bytes, &plane).unwrap()
+    }
+
+    fn burned_at(store: &mut ImageStore, id: ImageId, disc: u64) {
+        let loc = DiscLocation {
+            disc: DiscId(disc),
+            slot: SlotAddress::new(0, 0, 0),
+            position: 0,
+        };
+        store.mark_burned(id, loc).unwrap();
     }
 
     fn sealed(store: &mut ImageStore, tag: u8) -> SealedImage {
@@ -561,7 +573,7 @@ mod tests {
         let mut completed = None;
         for i in 0..3 {
             let img = sealed(&mut store, i);
-            completed = store.register_sealed(img, 3, &p());
+            completed = register(&mut store, img, 3);
         }
         let gid = completed.expect("third image completes the group");
         let g = store.group(gid).unwrap();
@@ -569,7 +581,7 @@ mod tests {
         assert_eq!(g.data.len(), 3);
         // Next image starts a fresh group.
         let img = sealed(&mut store, 9);
-        assert!(store.register_sealed(img, 3, &p()).is_none());
+        assert!(register(&mut store, img, 3).is_none());
         assert_eq!(store.groups_in_state(GroupState::Collecting).len(), 1);
     }
 
@@ -579,11 +591,11 @@ mod tests {
         let mut gid = None;
         for i in 0..2 {
             let img = sealed(&mut store, i);
-            gid = store.register_sealed(img, 2, &p());
+            gid = register(&mut store, img, 2);
         }
         let gid = gid.unwrap();
         store
-            .register_parity(gid, vec![Bytes::from(vec![0u8; 100])], &p())
+            .register_parity(gid, with_digests(vec![Bytes::from(vec![0u8; 100])]))
             .unwrap();
         let g = store.group(gid).unwrap();
         assert_eq!(g.state, GroupState::ReadyToBurn);
@@ -593,7 +605,7 @@ mod tests {
         assert!(parity.on_disk());
         // Double registration rejected.
         assert!(store
-            .register_parity(gid, vec![Bytes::new()], &p())
+            .register_parity(gid, with_digests(vec![Bytes::new()]))
             .is_err());
     }
 
@@ -620,7 +632,7 @@ mod tests {
         let mut store = ImageStore::new(&l);
         let img = sealed(&mut store, 1);
         let id = ImageId(img.image_id());
-        store.register_sealed(img, 2, &p());
+        register(&mut store, img, 2);
         // Cannot evict before burning.
         assert!(store.evict_disk_copy(id).is_err());
         let loc = DiscLocation {
@@ -633,10 +645,25 @@ mod tests {
         let freed = store.evict_disk_copy(id).unwrap();
         assert!(freed > 0);
         assert!(!store.get(id).unwrap().on_disk());
-        // Restore with wrong bytes fails the digest verification.
-        assert!(store
-            .restore_disk_copy(id, Bytes::from_static(b"junk"), &p())
-            .is_err());
+    }
+
+    #[test]
+    fn restore_rejects_a_proof_for_another_image() {
+        let l = layout();
+        let mut store = ImageStore::new(&l);
+        let a = sealed(&mut store, 1);
+        let b = sealed(&mut store, 2);
+        let (a_id, b_bytes) = (ImageId(a.image_id()), b.bytes().clone());
+        register(&mut store, a, 2);
+        register(&mut store, b, 2);
+        burned_at(&mut store, a_id, 0);
+        store.evict_disk_copy(a_id).unwrap();
+        // B's bytes carry a genuine proof, but for B's digest, not A's.
+        let err = store.restore_disk_copy(a_id, proof(&b_bytes));
+        assert_eq!(err, Err(OlfsError::DigestMismatch(a_id)));
+        let info = store.get(a_id).unwrap();
+        assert!(!info.on_disk(), "a rejected proof restores nothing");
+        assert!(info.sealed.is_none());
     }
 
     #[test]
@@ -646,19 +673,10 @@ mod tests {
         let img = sealed(&mut store, 2);
         let id = ImageId(img.image_id());
         let bytes = img.bytes().clone();
-        store.register_sealed(img, 2, &p());
-        store
-            .mark_burned(
-                id,
-                DiscLocation {
-                    disc: DiscId(0),
-                    slot: SlotAddress::new(0, 0, 0),
-                    position: 0,
-                },
-            )
-            .unwrap();
+        register(&mut store, img, 2);
+        burned_at(&mut store, id, 0);
         store.evict_disk_copy(id).unwrap();
-        store.restore_disk_copy(id, bytes, &p()).unwrap();
+        store.restore_disk_copy(id, proof(&bytes)).unwrap();
         let info = store.get(id).unwrap();
         assert!(info.on_disk());
         assert!(info.sealed.is_some());
@@ -669,7 +687,7 @@ mod tests {
         let l = layout();
         let mut store = ImageStore::new(&l);
         let img = sealed(&mut store, 1);
-        assert!(store.register_sealed(img, 5, &p()).is_none());
+        assert!(register(&mut store, img, 5).is_none());
         let gid = store.force_close_collecting().unwrap();
         assert_eq!(store.group(gid).unwrap().state, GroupState::ParityPending);
         assert!(store.force_close_collecting().is_none());
@@ -698,7 +716,7 @@ mod tests {
         let mut store = ImageStore::new(&l);
         let img = sealed(&mut store, 1);
         let id = ImageId(img.image_id());
-        store.register_sealed(img, 2, &p());
+        register(&mut store, img, 2);
         store
             .mark_burned(
                 id,
@@ -728,16 +746,15 @@ mod rewrite_tests {
         let id = store.allocate_image_id();
         let mut b = Bucket::new(id.0, 64 * 2048);
         b.write(&"/f".parse().unwrap(), vec![1u8; 100], 0).unwrap();
-        let gid = store
-            .register_sealed(b.close().unwrap(), 1, &DataPlane::single())
-            .unwrap();
+        let sealed = b.close().unwrap();
+        let digest = Digest::of(sealed.bytes());
+        let gid = store.register_sealed(sealed, digest, 1).unwrap();
         // ParityPending, not Burned: reset must refuse.
         assert!(store.reset_group_for_rewrite(gid).is_err());
         store
             .register_parity(
                 gid,
-                vec![bytes::Bytes::from(vec![0u8; 100])],
-                &DataPlane::single(),
+                vec![(Bytes::from(vec![0u8; 100]), Digest::of(&[0u8; 100]))],
             )
             .unwrap();
         assert!(store.reset_group_for_rewrite(gid).is_err());

@@ -29,6 +29,7 @@ use crate::redundancy;
 use crate::trace::OpTrace;
 use crate::wbm::BucketManager;
 use bytes::Bytes;
+use ros_cas::{CasError, Digest, Verified};
 use ros_disk::volume::{VolumeId, VolumeManager};
 use ros_disk::RaidArray;
 use ros_drive::media::Payload;
@@ -37,6 +38,7 @@ use ros_mech::plc::Plc;
 use ros_mech::{MechScheduler, SlotAddress};
 use ros_sim::{EventQueue, SimDuration, SimRng, SimTime};
 use ros_udf::UdfPath;
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 mod read;
@@ -215,6 +217,9 @@ pub struct Ros {
     /// Content-addressable dedup bookkeeping (§14); consulted only when
     /// `cfg.dedup` is set.
     pub(crate) dedup: crate::dedup::DedupLayer,
+    /// Bytes SHA-256'd through [`Ros::digest`] and [`Ros::verify`].
+    /// Kept out of [`Counters`], whose rendering is a pinned golden.
+    digested: Cell<u64>,
 }
 
 impl Ros {
@@ -289,6 +294,7 @@ impl Ros {
             quarantined_bays: BTreeSet::new(),
             bay_burn_failures: BTreeMap::new(),
             dedup: crate::dedup::DedupLayer::new(),
+            digested: Cell::new(0),
             cfg,
         })
     }
@@ -304,6 +310,50 @@ impl Ros {
     /// deterministic, so the thread count never changes behaviour.
     pub fn data_plane(&self) -> ros_disk::DataPlane {
         ros_disk::DataPlane::with_threads(self.cfg.data_plane_threads)
+    }
+
+    /// Payload bytes this engine has put through content-digest passes
+    /// (seal, parity, dedup, fetch and prefetch verification, audit,
+    /// repair, the resident sweep). Deterministic, so a test can pin
+    /// the hash work per client byte exactly.
+    pub fn digest_bytes(&self) -> u64 {
+        self.digested.get()
+    }
+
+    /// Counts `bytes` hashed outside [`Ros::digest`] and [`Ros::verify`].
+    pub(crate) fn count_digested(&self, bytes: u64) {
+        self.digested.set(self.digested.get() + bytes);
+    }
+
+    /// The content digest of `data` on the engine's data plane, counted.
+    pub(crate) fn digest(&self, data: &[u8]) -> Digest {
+        self.count_digested(data.len() as u64);
+        ros_cas::content_digest(data, &self.data_plane())
+    }
+
+    /// Verifies `data` against `expected` on the engine's data plane,
+    /// counted: the engine's one trust boundary. The proof lets every
+    /// later layer take the bytes without hashing them again.
+    pub(crate) fn verify(&self, expected: &Digest, data: &Bytes) -> Result<Verified, CasError> {
+        self.count_digested(data.len() as u64);
+        ros_cas::verify_payload(expected, data, &self.data_plane())
+    }
+
+    /// Restores a proven payload to the disk buffer: allocates its
+    /// space, restores the disk copy, and gives the space back if the
+    /// restore is refused.
+    pub(crate) fn restore_to_buffer(
+        &mut self,
+        image: ImageId,
+        proof: Verified,
+    ) -> Result<(), OlfsError> {
+        let len = proof.bytes().len() as u64;
+        self.vm.allocate(self.vol_buffer, len)?;
+        let restored = self.store.restore_disk_copy(image, proof);
+        if restored.is_err() {
+            let _ = self.vm.release(self.vol_buffer, len);
+        }
+        restored
     }
 
     /// Current simulated time.
@@ -401,8 +451,9 @@ impl Ros {
     }
 
     /// Completes a background array prefetch: every sibling image still
-    /// sitting in the bay's drives gets its payload restored to the disk
-    /// tier and becomes a cache resident.
+    /// sitting in the bay's drives whose payload passes its digest gets
+    /// it restored to the disk tier and becomes a cache resident. A
+    /// rotted sibling stays on disc; its next fetch repairs it.
     fn finish_prefetch(&mut self, bay: usize, images: Vec<ImageId>) {
         for image in images {
             let already = self
@@ -427,17 +478,18 @@ impl Ros {
             let Ok(timed) = drive.read_image(image.0) else {
                 continue;
             };
-            if let Payload::Inline(bytes) = timed.payload {
-                let plane = self.data_plane();
-                if self
-                    .vm
-                    .allocate(self.vol_buffer, bytes.len() as u64)
-                    .is_ok()
-                    && self.store.restore_disk_copy(image, bytes, &plane).is_ok()
-                {
-                    self.cache.insert(image);
-                    self.apply_cache_pressure();
-                }
+            let Payload::Inline(bytes) = timed.payload else {
+                continue;
+            };
+            let Some(digest) = self.store.get(image).map(|i| i.digest) else {
+                continue;
+            };
+            let Ok(proof) = self.verify(&digest, &bytes) else {
+                continue;
+            };
+            if self.restore_to_buffer(image, proof).is_ok() {
+                self.cache.insert(image);
+                self.apply_cache_pressure();
             }
         }
     }
@@ -490,18 +542,21 @@ impl Ros {
                     }
                     let bytes: u64 = parity.iter().map(|p| p.len() as u64).sum();
                     let _ = self.vm.allocate(self.vol_buffer, bytes);
-                    let plane = self.data_plane();
-                    if self.store.register_parity(gid, parity, &plane).is_err() {
+                    let parity = parity
+                        .into_iter()
+                        .map(|p| {
+                            let digest = self.digest(&p);
+                            (p, digest)
+                        })
+                        .collect();
+                    if self.store.register_parity(gid, parity).is_err() {
                         return;
                     }
                 }
                 Err(_) => return,
             }
-        } else {
-            let plane = self.data_plane();
-            if self.store.register_parity(gid, Vec::new(), &plane).is_err() {
-                return;
-            }
+        } else if self.store.register_parity(gid, Vec::new()).is_err() {
+            return;
         }
         self.counters.parity_runs += 1;
         self.burn_queue.push_back(gid);
@@ -1672,6 +1727,38 @@ mod prefetch_tests {
         assert_eq!(r2.source, ReadSource::DiskImage, "prefetched sibling");
         assert!(r2.latency < SimDuration::from_millis(50));
         assert_eq!(r2.data.as_ref(), &[11u8; 800_000][..]);
+    }
+
+    #[test]
+    fn prefetch_skips_a_rotted_sibling_without_leaking_buffer_space() {
+        let mut r = burned(true);
+        let read = r.image_segments(&p("/pf/0")).unwrap()[0];
+        let gid = r.store.get(read).and_then(|i| i.array).unwrap();
+        let data = &r.store.group(gid).unwrap().data;
+        let sibling = *data.iter().find(|&&id| id != read).unwrap();
+        let loc = r.store.location_of(sibling).unwrap();
+        let disc = r.registry.disc_mut(loc.disc).unwrap();
+        assert!(disc.rot_bytes(sibling.0, 4) > 0);
+
+        r.read_file(&p("/pf/0")).unwrap();
+        // Let the background prefetch land.
+        r.run_for(SimDuration::from_secs(10));
+        assert!(r.store.get(read).unwrap().on_disk());
+        assert!(
+            !r.store.get(sibling).unwrap().on_disk(),
+            "a rotted sibling must not become resident"
+        );
+        let resident: u64 = r
+            .store
+            .images()
+            .filter_map(|i| i.payload.as_ref())
+            .map(|b| b.len() as u64)
+            .sum();
+        assert_eq!(
+            r.status().buffer_usage.0,
+            resident,
+            "buffer space is held by exactly the resident payloads"
+        );
     }
 
     #[test]

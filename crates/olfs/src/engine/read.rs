@@ -14,6 +14,7 @@ use crate::dim::{DiscLocation, GroupState};
 use crate::error::OlfsError;
 use crate::ids::ImageId;
 use crate::params;
+use crate::repair::Checks;
 use crate::trace::OpTrace;
 use bytes::Bytes;
 use ros_drive::media::Payload;
@@ -408,30 +409,30 @@ impl Ros {
                 };
                 // End-to-end digest check *before* the restore: latent
                 // rot flips bytes without any sector error, so the drive
-                // read succeeds and only the CAS digest can tell. A
-                // mismatch is repaired from array redundancy in-line —
-                // the client never observes corrupt bytes.
-                let plane = self.data_plane();
+                // read succeeds and only the CAS digest can tell. This is
+                // the one hash of the fetched bytes: the restore takes
+                // the proof. A mismatch is repaired from array redundancy
+                // in-line — the client never observes corrupt bytes.
                 let digest = self
                     .store
                     .get(image)
                     .map(|i| i.digest)
                     .ok_or(OlfsError::ImageLost(image))?;
-                if ros_cas::verify_payload(&digest, &payload, &plane).is_err() {
-                    let repair = self.repair_image(image, bay, true)?;
-                    *extra += repair;
-                    self.counters.latent_repairs += 1;
-                    return Ok(());
+                match self.verify(&digest, &payload) {
+                    Ok(proof) => self.restore_to_buffer(image, proof),
+                    failed @ Err(_) => {
+                        let mut checks = Checks::default();
+                        checks.record(image, &payload, failed);
+                        *extra += self.repair_image(image, bay, Some(&checks))?;
+                        self.counters.latent_repairs += 1;
+                        Ok(())
+                    }
                 }
-                self.vm.allocate(self.vol_buffer, payload.len() as u64)?;
-                self.store.restore_disk_copy(image, payload, &plane)?;
-                Ok(())
             }
             Err(ros_drive::DriveError::Media(ros_drive::media::MediaError::SectorErrors {
                 ..
             })) => {
-                let repair = self.repair_image(image, bay, false)?;
-                *extra += repair;
+                *extra += self.repair_image(image, bay, None)?;
                 self.counters.repairs += 1;
                 Ok(())
             }

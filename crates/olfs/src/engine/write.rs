@@ -108,7 +108,7 @@ impl Ros {
             // The old bytes were unshared (see `in_place_target`);
             // catalogue the stored location under the new content digest.
             self.dedup.invalidate_version(path, latest.ver);
-            let digest = ros_cas::content_digest(&data, &self.data_plane());
+            let digest = self.digest(&data);
             self.dedup.record_canonical(
                 path,
                 version,
@@ -174,7 +174,7 @@ impl Ros {
         let fresh = stored == *path;
         let mut digest = None;
         if self.cfg.dedup {
-            let d = ros_cas::content_digest(&data, &self.data_plane());
+            let d = self.digest(&data);
             if let Some(entry) = self.dedup.lookup(&d).cloned() {
                 return self.finish_dedup_write(path, &data, d, entry, trace, mv_io, fresh);
             }
@@ -443,10 +443,10 @@ impl Ros {
         let image = ImageId(sealed.image_id());
         let bytes = sealed.len();
         self.vm.allocate(self.vol_buffer, bytes)?;
-        let plane = self.data_plane();
+        let digest = self.digest(sealed.bytes());
         let completed = self
             .store
-            .register_sealed(sealed, self.cfg.data_discs_per_array(), &plane);
+            .register_sealed(sealed, digest, self.cfg.data_discs_per_array());
         self.cache.insert(image);
         self.cache.pin(image);
         self.promote_paths(image, LocTag::Image);

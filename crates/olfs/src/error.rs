@@ -26,6 +26,9 @@ pub enum OlfsError {
     },
     /// An image is referenced but cannot be located anywhere.
     ImageLost(ImageId),
+    /// A restore offered a digest proof for other content than the
+    /// image records.
+    DigestMismatch(ImageId),
     /// A disc cannot be read and redundancy cannot repair it.
     Unrecoverable {
         /// The damaged image.
@@ -81,6 +84,7 @@ impl core::fmt::Display for OlfsError {
                 write!(f, "version {version} of {path} is no longer recorded")
             }
             OlfsError::ImageLost(i) => write!(f, "image {i} lost"),
+            OlfsError::DigestMismatch(i) => write!(f, "image {i}: proof is for another digest"),
             OlfsError::Unrecoverable { image, array } => {
                 write!(f, "image {image} unrecoverable (array {array:?})")
             }

@@ -344,8 +344,8 @@ impl Ros {
     /// sweep (DESIGN.md §14). Complements [`Ros::scrub`]: the scrub
     /// finds *media* damage on burned discs, this pass proves the
     /// *buffered* bytes still match what was sealed. Burned-and-evicted
-    /// images are skipped; their bytes are re-verified by
-    /// `restore_disk_copy` on the next fetch.
+    /// images are skipped; the next fetch verifies their bytes before
+    /// restoring them.
     ///
     /// Verification fans out across images on the data plane (each
     /// image is hashed serially to avoid nested planes); the result is
@@ -362,6 +362,8 @@ impl Ros {
             Some(p) => ros_cas::verify_payload(&info.digest, p, &serial).is_ok(),
             None => true,
         });
+        let hashed = resident.iter().filter_map(|i| i.payload.as_ref());
+        self.count_digested(hashed.map(|p| p.len() as u64).sum());
         let mut report = ImageVerifyReport::default();
         for (info, ok) in resident.iter().zip(ok) {
             if ok {

@@ -13,7 +13,7 @@
 
 use crate::config::Redundancy;
 use bytes::Bytes;
-use ros_cas::{verify_payload, Digest};
+use ros_cas::{CasError, Digest, Verified};
 use ros_disk::parity::{self, ParityError};
 use ros_disk::plane::DataPlane;
 use std::borrow::Cow;
@@ -216,7 +216,7 @@ pub struct Member {
     pub bad_sectors: Vec<u64>,
 }
 
-/// A data member [`repair`] hands back, digest-verified.
+/// A data member [`repair`] hands back as a digest proof.
 #[derive(Clone, Copy, Debug)]
 pub struct Wanted {
     /// Index into the member list.
@@ -228,7 +228,11 @@ pub struct Wanted {
 }
 
 /// Repairs a disc array from per-member erasure masks (§4.7) and
-/// returns the `wanted` data members, each verified against its digest.
+/// returns the `wanted` data members, each as the [`Verified`] proof
+/// `verify` made against its digest. `verify` is the caller's
+/// `ros_cas::verify_payload` on its plane (the engine's counted one);
+/// only that entry point can produce a proof, so no output escapes
+/// the check.
 ///
 /// A member's mask is its damage map, or all of it when its bytes are
 /// `None`. Members are zero-padded to the longest one and the stripe is
@@ -246,7 +250,8 @@ pub fn repair(
     n_data: usize,
     wanted: &[Wanted],
     plane: &DataPlane,
-) -> Result<Vec<Bytes>, RedundancyError> {
+    verify: impl Fn(&Digest, &Bytes) -> Result<Verified, CasError>,
+) -> Result<Vec<Verified>, RedundancyError> {
     if members.is_empty() {
         return Err(RedundancyError::Empty);
     }
@@ -331,8 +336,7 @@ pub fn repair(
                 (None, Some(b)) if b.len() >= w.size => b.slice(..w.size),
                 (None, _) => Bytes::from(member_bytes(members, w).into_owned()),
             };
-            verify_payload(&w.digest, &bytes, plane)
-                .map(|()| bytes)
+            verify(&w.digest, &bytes)
                 .map_err(|_| RedundancyError::DigestMismatch { member: w.member })
         })
         .collect()
@@ -512,6 +516,11 @@ mod tests {
         ros_cas::content_digest(d, &DataPlane::single())
     }
 
+    /// [`repair`]'s output check: the plain `ros-cas` verify.
+    fn check(d: &Digest, b: &Bytes) -> Result<Verified, CasError> {
+        ros_cas::verify_payload(d, b, &DataPlane::single())
+    }
+
     /// Every data image (plus its parity) as intact [`Member`]s.
     fn members(imgs: &[Vec<u8>], set: &ParitySet) -> Vec<Member> {
         imgs.iter()
@@ -576,6 +585,7 @@ mod tests {
             4,
             &want_all(&imgs),
             &DataPlane::single(),
+            check,
         );
         assert!(matches!(
             err,
@@ -594,7 +604,8 @@ mod tests {
             &ms,
             4,
             &want_all(&imgs),
-            &DataPlane::single()
+            &DataPlane::single(),
+            check,
         )
         .is_err());
         let mut ms = members(&imgs, &set);
@@ -606,7 +617,8 @@ mod tests {
                 &ms,
                 4,
                 &want_all(&imgs),
-                &DataPlane::single()
+                &DataPlane::single(),
+                check,
             ),
             Err(RedundancyError::TooManyLost { .. })
         ));
@@ -616,11 +628,12 @@ mod tests {
             &blank,
             4,
             &want_all(&imgs),
-            &DataPlane::single()
+            &DataPlane::single(),
+            check,
         )
         .is_err());
         assert!(matches!(
-            repair(Redundancy::Raid5, &[], 0, &[], &DataPlane::single()),
+            repair(Redundancy::Raid5, &[], 0, &[], &DataPlane::single(), check),
             Err(RedundancyError::Empty)
         ));
     }
@@ -643,6 +656,7 @@ mod tests {
             imgs.len(),
             &want,
             &DataPlane::single(),
+            check,
         );
         assert_eq!(err, Err(RedundancyError::DigestMismatch { member: 4 }));
     }

@@ -11,13 +11,17 @@
 //! 1. **Gather** ([`Ros::gather_array`]) every member of the array as
 //!    refcounted `Bytes`: the buffer copy when there is one, else the
 //!    disc — from the drives of the bay holding the array (fetch path)
-//!    or from the tray registry (audit).
+//!    or from the tray registry (audit). A member whose very bytes the
+//!    caller already digest-checked ([`Checks`]: the audit's sample, a
+//!    fetch's failed read) reuses that verdict instead of a second hash.
 //! 2. **Mask and reconstruct** ([`redundancy::repair`]): the drive's
 //!    sector damage map, unioned with whole-member digest failures,
 //!    marks what is lost; each run of sectors sharing one damaged set is
-//!    rebuilt in one plane call and the result is digest-verified.
-//! 3. **Restore** ([`Ros::heal_members`] runs steps 2 and 3) the
-//!    verified bytes to the disk buffer without hashing them again.
+//!    rebuilt in one plane call and the result is digest-verified into a
+//!    [`Verified`] proof.
+//! 3. **Restore** ([`Ros::heal_members`] runs steps 2 and 3) each proof
+//!    to the disk buffer: the restore compares digests, it does not
+//!    hash the bytes again.
 //!
 //! The callers are policies over those steps and differ only in what
 //! they trust and what they charge:
@@ -36,8 +40,11 @@ use crate::engine::Ros;
 use crate::error::OlfsError;
 use crate::ids::ImageId;
 use crate::redundancy::{self, Member, Wanted};
+use bytes::Bytes;
+use ros_cas::{CasError, Verified};
 use ros_drive::media::Payload;
 use ros_sim::{Bandwidth, SimDuration};
+use std::collections::BTreeMap;
 
 /// Where [`Ros::gather_array`] reads members that have no usable buffer
 /// copy.
@@ -48,6 +55,44 @@ pub(crate) enum Source {
     Bay(usize),
     /// The discs in their trays, via the registry.
     Trays,
+}
+
+/// One digest check already made on an image's bytes: the proof, or
+/// the bytes that failed.
+type Checked = Result<Verified, Bytes>;
+
+/// Digest checks already made on array members, by image. The gather
+/// reuses a verdict only for the very bytes it covered: the same
+/// immutable `Bytes` range, which the record keeps alive, so a copy that
+/// was replaced or rotted since is hashed afresh.
+#[derive(Debug, Default)]
+pub(crate) struct Checks(BTreeMap<ImageId, Vec<Checked>>);
+
+impl Checks {
+    /// Records the verdict of verifying `bytes` of `image`, and returns
+    /// whether they passed.
+    pub(crate) fn record(
+        &mut self,
+        image: ImageId,
+        bytes: &Bytes,
+        verdict: Result<Verified, CasError>,
+    ) -> bool {
+        let passed = verdict.is_ok();
+        let check = verdict.map_err(|_| bytes.clone());
+        self.0.entry(image).or_default().push(check);
+        passed
+    }
+
+    /// The recorded verdict on exactly `bytes` of `image`, if any.
+    fn verdict(&self, image: ImageId, bytes: &Bytes) -> Option<bool> {
+        self.0.get(&image)?.iter().find_map(|check| {
+            let (checked, ok) = match check {
+                Ok(proof) => (proof.bytes(), true),
+                Err(failed) => (failed, false),
+            };
+            std::ptr::eq(checked.as_ref(), bytes.as_ref()).then_some(ok)
+        })
+    }
 }
 
 /// One array's members as gathered for [`redundancy::repair`].
@@ -85,18 +130,26 @@ impl Ros {
     ///
     /// With `verify` set, a member is kept only if its bytes match its
     /// content digest and its track read back without sector errors;
-    /// anything else is erased whole. Without it, buffer copies and disc
-    /// bytes are taken as they are, with the drive's damage map as the
-    /// member's mask.
-    pub(crate) fn gather_array(&self, ids: &[ImageId], from: Source, verify: bool) -> Gathered {
-        let plane = self.data_plane();
+    /// anything else is erased whole. Bytes the [`Checks`] already
+    /// cover take their recorded verdict; the rest are hashed here.
+    /// Without `verify`, buffer copies and disc bytes are taken as they
+    /// are, with the drive's damage map as the member's mask.
+    pub(crate) fn gather_array(
+        &self,
+        ids: &[ImageId],
+        from: Source,
+        verify: Option<&Checks>,
+    ) -> Gathered {
         let mut g = Gathered::default();
         for (i, id) in ids.iter().enumerate() {
             let info = self.store.get(*id);
-            let trusted = |bytes: &[u8]| {
-                !verify
-                    || info
-                        .is_some_and(|i| ros_cas::verify_payload(&i.digest, bytes, &plane).is_ok())
+            let trusted = |bytes: &Bytes| match verify {
+                None => true,
+                Some(checks) => info.is_some_and(|info| {
+                    checks
+                        .verdict(*id, bytes)
+                        .unwrap_or_else(|| self.verify(&info.digest, bytes).is_ok())
+                }),
             };
             let mut member = Member::default();
             let mut read = None;
@@ -104,7 +157,7 @@ impl Ros {
             if let Some(p) = info.and_then(|i| i.payload.as_ref()).filter(|p| trusted(p)) {
                 member.bytes = Some(p.clone());
                 buffered = true;
-            } else if info.is_some() || !verify {
+            } else if info.is_some() || verify.is_none() {
                 let disc = match from {
                     Source::Bay(bay) => self.bays.get(bay).and_then(|b| b.drive(i)).and_then(|d| {
                         let speed = d
@@ -123,7 +176,7 @@ impl Ros {
                 let raw = disc.map(|(disc, speed)| (disc.read_image_raw(id.0), speed));
                 if let Some((Ok((Payload::Inline(bytes), bad)), speed)) = raw {
                     read = Some((bytes.len() as u64, speed));
-                    if !verify {
+                    if verify.is_none() {
                         member.bytes = Some(bytes.clone());
                         member.bad_sectors = bad;
                     } else if bad.is_empty() && trusted(bytes) {
@@ -139,9 +192,8 @@ impl Ros {
     }
 
     /// Rebuilds the `wanted` data members of `group` from a gather,
-    /// digest-verified, and writes them to the disk buffer in place of
-    /// any stale resident copy without hashing them again. Returns the
-    /// buffer write time.
+    /// digest-verified, and restores their proofs to the disk buffer in
+    /// place of any stale resident copy. Returns the buffer write time.
     pub(crate) fn heal_members(
         &mut self,
         group: &ArrayGroup,
@@ -174,21 +226,26 @@ impl Ros {
                     n_data,
                     &specs,
                     &plane,
+                    |digest, bytes| self.verify(digest, bytes),
                 )
                 .ok()
             })
             .ok_or_else(|| lost(wanted.first().copied().unwrap_or(ImageId(0))))?;
         let mut time = SimDuration::ZERO;
-        for (&image, bytes) in wanted.iter().zip(rebuilt) {
+        for (&image, proof) in wanted.iter().zip(rebuilt) {
             if self.store.get(image).is_some_and(ImageInfo::on_disk) {
                 let freed = self.store.evict_disk_copy(image).map_err(|_| lost(image))?;
                 let _ = self.vm.release(self.vol_buffer, freed);
             }
-            time += self.vm.write_time(self.vol_buffer, bytes.len() as u64)?;
-            self.vm.allocate(self.vol_buffer, bytes.len() as u64)?;
-            self.store
-                .restore_verified_copy(image, bytes)
-                .map_err(|_| lost(image))?;
+            time += self
+                .vm
+                .write_time(self.vol_buffer, proof.bytes().len() as u64)?;
+            // A full buffer stays a volume error; a refused restore
+            // means the image is lost.
+            self.restore_to_buffer(image, proof).map_err(|e| match e {
+                OlfsError::Volume(_) => e,
+                _ => lost(image),
+            })?;
         }
         Ok(time)
     }
@@ -201,15 +258,16 @@ impl Ros {
     /// damage maps are the masks, so several discs may be damaged as
     /// long as no 2 KB stripe exceeds the tolerance. With `verify` it
     /// heals latent rot, which leaves no damage map: every member is
-    /// digest-verified whole and a mismatch erases it. Only the
-    /// requested image is restored; rewriting the array onto fresh
-    /// media is the audit's job (§16) — a fetch holding a reserved bay
-    /// must not start a group rewrite.
+    /// digest-verified whole (the fetch's own failed check among the
+    /// [`Checks`]) and a mismatch erases it. Only the requested image is
+    /// restored; rewriting the array onto fresh media is the audit's job
+    /// (§16) — a fetch holding a reserved bay must not start a group
+    /// rewrite.
     pub(crate) fn repair_image(
         &mut self,
         image: ImageId,
         bay: usize,
-        verify: bool,
+        verify: Option<&Checks>,
     ) -> Result<SimDuration, OlfsError> {
         let info = self.store.get(image).ok_or(OlfsError::ImageLost(image))?;
         let gid = info

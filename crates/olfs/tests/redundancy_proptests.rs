@@ -66,6 +66,11 @@ fn damaged_members(
         .collect()
 }
 
+/// [`repair`]'s output check: the plain `ros-cas` verify.
+fn check(d: &ros_cas::Digest, b: &Bytes) -> Result<ros_cas::Verified, ros_cas::CasError> {
+    ros_cas::verify_payload(d, b, &DataPlane::single())
+}
+
 fn want_all(imgs: &[Vec<u8>]) -> Vec<Wanted> {
     imgs.iter()
         .enumerate()
@@ -226,9 +231,9 @@ proptest! {
         }
         let want = want_all(&imgs);
         let plane = DataPlane::single();
-        let got = repair(schema, &members, n, &want, &plane).expect("within tolerance");
+        let got = repair(schema, &members, n, &want, &plane, check).expect("within tolerance");
         for (g, orig) in got.iter().zip(imgs.iter()) {
-            prop_assert_eq!(g.as_ref(), orig.as_slice());
+            prop_assert_eq!(g.bytes().as_ref(), orig.as_slice());
         }
         let refs: Vec<&[u8]> = imgs.iter().map(|v| v.as_slice()).collect();
         let set = generate(schema, &refs).expect("generate");
@@ -237,11 +242,11 @@ proptest! {
         masked[0] = None;
         let oracle = reconstruct(schema, &masked, &sizes, set.p.as_deref(), set.q.as_deref())
             .expect("oracle");
-        prop_assert_eq!(&got[0], &oracle[0]);
-        prop_assert_eq!(got, repair(schema, &members, n, &want, &DataPlane::new(2)).expect("2 threads"));
+        prop_assert_eq!(got[0].bytes(), &oracle[0]);
+        prop_assert_eq!(got, repair(schema, &members, n, &want, &DataPlane::new(2), check).expect("2 threads"));
 
         let over = damaged_members(&imgs, schema, &mut rng, |k, _| if k == 0 { tolerated + 1 } else { 0 });
-        let err = repair(schema, &over, n, &want, &plane);
+        let err = repair(schema, &over, n, &want, &plane, check);
         prop_assert!(
             matches!(err, Err(RedundancyError::TooManyLost { .. })),
             "{:?}",
